@@ -1,5 +1,6 @@
-// Staging-pipeline throughput: the single-pass parallel split and the
-// session's concurrent seat fan-out, at 1/4/16 seats.
+// Staging-pipeline throughput: the single-pass parallel split (records/s,
+// gated at 16 parts in BENCH_batch.json) and the session's concurrent seat
+// fan-out, at 1/4/16 seats.
 //
 // The fan-out benches model the paper's parallel-transfer claim with a
 // fixed per-seat latency (a 2 ms sleep standing in for one staging RPC):
@@ -144,10 +145,11 @@ class StagingSplitFixture : public benchmark::Fixture {
     dir_ = std::filesystem::temp_directory_path() / "ipa-bench-staging";
     std::filesystem::create_directories(dir_);
     source_ = (dir_ / "src.ipd").string();
-    (void)physics::generate_dataset(source_, "bench", 20000);
+    (void)physics::generate_dataset(source_, "bench", kRecords);
     bytes_ = std::filesystem::file_size(source_);
   }
 
+  static constexpr std::int64_t kRecords = 20000;
   static std::filesystem::path dir_;
   static std::string source_;
   static std::uintmax_t bytes_;
@@ -172,6 +174,7 @@ BENCHMARK_DEFINE_F(StagingSplitFixture, SinglePassSplit)(benchmark::State& state
     for (const auto& part : split->parts) std::filesystem::remove(part.path);
     state.ResumeTiming();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRecords);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes_));
   state.counters["parts"] = parts;

@@ -1,5 +1,7 @@
 #include "aida/tuple.hpp"
 
+#include <algorithm>
+
 namespace ipa::aida {
 
 Tuple::Tuple(std::string title, std::vector<std::string> columns)
@@ -61,7 +63,10 @@ Result<Tuple> Tuple::decode(ser::Reader& r) {
   if (row_count > ser::Reader::kMaxFieldLen / (width ? width : 1)) {
     return data_loss("tuple: implausible row count");
   }
-  tuple.rows_.reserve(static_cast<std::size_t>(row_count));
+  // A row is `width` doubles, so the input bounds the reserve.
+  const std::size_t row_bytes = width * sizeof(double);
+  tuple.rows_.reserve(static_cast<std::size_t>(
+      row_bytes ? std::min<std::uint64_t>(row_count, r.remaining() / row_bytes) : 0));
   for (std::uint64_t i = 0; i < row_count; ++i) {
     std::vector<double> row(width);
     for (double& v : row) {

@@ -51,6 +51,7 @@ struct DatasetWriter::State {
   std::string path;
   std::uint64_t index_stride = kDefaultIndexStride;
   std::vector<std::uint64_t> index_offsets;
+  std::uint64_t position = 0;  // file offset of the next byte written
   Crc32 crc;
   bool finished = false;
 };
@@ -75,6 +76,7 @@ Result<DatasetWriter> DatasetWriter::create(const std::string& path, const std::
   header.string_map(metadata);
   IPA_RETURN_IF_ERROR(
       write_bytes(writer.state_->file.fp, header.data().data(), header.size()));
+  writer.state_->position = header.size();
   return writer;
 }
 
@@ -94,19 +96,26 @@ Status DatasetWriter::append(const Record& record) {
   ser::Writer framed;
   framed.varint(body.size());
   framed.raw(body.data().data(), body.size());
-  return append_framed(framed.data().data(), framed.size());
+  constexpr std::size_t kStart = 0;
+  return append_frames(framed.data().data(), framed.size(), {&kStart, 1});
 }
 
-Status DatasetWriter::append_framed(const std::uint8_t* frame, std::size_t size) {
+Status DatasetWriter::append_frames(const std::uint8_t* frames, std::size_t size,
+                                    std::span<const std::size_t> frame_starts) {
   if (!state_ || state_->finished) return failed_precondition("dataset: writer finished");
-  if (count_ % state_->index_stride == 0) {
-    const long pos = std::ftell(state_->file.fp);
-    if (pos < 0) return unavailable("dataset: ftell failed");
-    state_->index_offsets.push_back(static_cast<std::uint64_t>(pos));
+  if (frame_starts.empty() != (size == 0)) {
+    return invalid_argument("dataset: frame run and frame starts disagree");
   }
-  state_->crc.update(frame, size);
-  IPA_RETURN_IF_ERROR(write_bytes(state_->file.fp, frame, size));
-  ++count_;
+  State& st = *state_;
+  std::uint64_t count = count_;
+  for (const std::size_t start : frame_starts) {
+    if (count % st.index_stride == 0) st.index_offsets.push_back(st.position + start);
+    ++count;
+  }
+  st.crc.update(frames, size);
+  IPA_RETURN_IF_ERROR(write_bytes(st.file.fp, frames, size));
+  st.position += size;
+  count_ = count;
   return Status::ok();
 }
 
@@ -114,8 +123,7 @@ Status DatasetWriter::finish() {
   if (!state_) return failed_precondition("dataset: writer moved-from");
   if (state_->finished) return Status::ok();
 
-  const long footer_pos = std::ftell(state_->file.fp);
-  if (footer_pos < 0) return unavailable("dataset: ftell failed");
+  const std::uint64_t footer_pos = state_->position;
 
   ser::Writer footer;
   footer.varint(count_);
@@ -125,7 +133,7 @@ Status DatasetWriter::finish() {
   IPA_RETURN_IF_ERROR(write_bytes(state_->file.fp, footer.data().data(), footer.size()));
 
   ser::Writer trailer;
-  trailer.u64(static_cast<std::uint64_t>(footer_pos));
+  trailer.u64(footer_pos);
   trailer.u32(kTrailerMagic);
   IPA_RETURN_IF_ERROR(write_bytes(state_->file.fp, trailer.data().data(), trailer.size()));
 
@@ -142,10 +150,7 @@ struct DatasetReader::State {
   File file;
   std::string path;
   DatasetInfo info;
-  std::uint64_t index_stride = kDefaultIndexStride;
-  std::vector<std::uint64_t> index_offsets;
-  std::uint64_t data_begin = 0;   // offset of the first record frame
-  std::uint64_t footer_offset = 0;
+  FrameIndex index;
   std::uint32_t stored_crc = 0;
   std::uint64_t position = 0;     // next record to be returned by next()
   SchemaPtr schema = std::make_shared<Schema>();  // interned as records decode
@@ -205,9 +210,7 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
       return data_loss("dataset: unsupported version " + std::to_string(version));
     }
   }
-  // Name + metadata are varint-framed; read them byte-wise via a small pump.
-  // Simpler: slurp the rest of the header by reading a bounded chunk.
-  // Read name string (varint len + bytes) manually.
+  // Name + metadata are varint-framed strings, read field by field.
   const auto read_varint = [&]() -> Result<std::uint64_t> {
     std::uint64_t v = 0;
     int shift = 0;
@@ -239,7 +242,7 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
   {
     const long pos = std::ftell(st.file.fp);
     if (pos < 0) return unavailable("dataset: ftell failed");
-    st.data_begin = static_cast<std::uint64_t>(pos);
+    st.index.data_begin = static_cast<std::uint64_t>(pos);
   }
 
   // Trailer.
@@ -248,7 +251,7 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
     std::uint8_t trailer[12];
     IPA_RETURN_IF_ERROR(read_bytes(st.file.fp, trailer, 12));
     ser::Reader tr(trailer, 12);
-    IPA_ASSIGN_OR_RETURN(st.footer_offset, tr.u64());
+    IPA_ASSIGN_OR_RETURN(st.index.data_end, tr.u64());
     IPA_ASSIGN_OR_RETURN(const std::uint32_t magic2, tr.u32());
     if (magic2 != kTrailerMagic) return data_loss("dataset: bad trailer magic (unfinished file?)");
   }
@@ -256,23 +259,45 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
     const long end = std::ftell(st.file.fp);
     st.info.file_bytes = end < 0 ? 0 : static_cast<std::uint64_t>(end);
   }
+  const std::uint64_t trailer_begin = st.info.file_bytes - 12;
+  if (st.index.data_end < st.index.data_begin || st.index.data_end > trailer_begin) {
+    return data_loss("dataset: bad footer offset");
+  }
 
   // Footer.
-  if (std::fseek(st.file.fp, static_cast<long>(st.footer_offset), SEEK_SET) != 0) {
+  if (std::fseek(st.file.fp, static_cast<long>(st.index.data_end), SEEK_SET) != 0) {
     return data_loss("dataset: bad footer offset");
   }
   IPA_ASSIGN_OR_RETURN(st.info.record_count, read_varint());
-  IPA_ASSIGN_OR_RETURN(st.index_stride, read_varint());
-  if (st.index_stride == 0) return data_loss("dataset: zero index stride");
+  IPA_ASSIGN_OR_RETURN(st.index.stride, read_varint());
+  if (st.index.stride == 0) return data_loss("dataset: zero index stride");
   IPA_ASSIGN_OR_RETURN(const std::uint64_t index_count, read_varint());
-  if (index_count > st.info.record_count + 1) return data_loss("dataset: implausible index");
-  st.index_offsets.reserve(static_cast<std::size_t>(index_count));
+  // One entry per stride-th record: ceil(count / stride).
+  const std::uint64_t n = st.info.record_count;
+  if (index_count != (n == 0 ? 0 : (n - 1) / st.index.stride + 1)) {
+    return data_loss("dataset: index size does not match the record count");
+  }
+  {
+    // Every entry is 8 bytes, so the footer bounds the reserve.
+    const long pos = std::ftell(st.file.fp);
+    if (pos < 0 || static_cast<std::uint64_t>(pos) > trailer_begin ||
+        index_count > (trailer_begin - static_cast<std::uint64_t>(pos)) / 8) {
+      return data_loss("dataset: index overruns the footer");
+    }
+  }
+  st.index.offsets.reserve(static_cast<std::size_t>(index_count));
   for (std::uint64_t i = 0; i < index_count; ++i) {
     std::uint8_t off_bytes[8];
     IPA_RETURN_IF_ERROR(read_bytes(st.file.fp, off_bytes, 8));
     ser::Reader orr(off_bytes, 8);
     IPA_ASSIGN_OR_RETURN(const std::uint64_t off, orr.u64());
-    st.index_offsets.push_back(off);
+    // The first entry is the first frame; each later one lies strictly
+    // after its predecessor. All lie before the footer.
+    const bool valid =
+        (i == 0 ? off == st.index.data_begin : off > st.index.offsets.back()) &&
+        off < st.index.data_end;
+    if (!valid) return data_loss("dataset: corrupt index entry " + std::to_string(i));
+    st.index.offsets.push_back(off);
   }
   {
     std::uint8_t crc_bytes[4];
@@ -302,13 +327,9 @@ Status DatasetReader::seek(std::uint64_t record_index) {
     st.position = record_index;  // at-end position; next() reports kOutOfRange
     return Status::ok();
   }
-  const std::uint64_t slot = record_index / st.index_stride;
-  std::uint64_t offset = st.data_begin;
-  std::uint64_t base = 0;
-  if (slot < st.index_offsets.size()) {
-    offset = st.index_offsets[slot];
-    base = slot * st.index_stride;
-  }
+  const std::uint64_t slot = record_index / st.index.stride;
+  const std::uint64_t offset = st.index.offsets[slot];
+  const std::uint64_t base = slot * st.index.stride;
   if (std::fseek(st.file.fp, static_cast<long>(offset), SEEK_SET) != 0) {
     return data_loss("dataset: seek failed");
   }
@@ -404,68 +425,7 @@ Result<std::uint64_t> DatasetReader::read_batch(RecordBatch& batch,
   return appended;
 }
 
-Result<std::vector<std::uint64_t>> DatasetReader::scan_frame_offsets() {
-  State& st = *state_;
-  const std::uint64_t saved = st.position;
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(static_cast<std::size_t>(st.info.record_count) + 1);
-  if (std::fseek(st.file.fp, static_cast<long>(st.data_begin), SEEK_SET) != 0) {
-    return data_loss("dataset: seek failed");
-  }
-
-  // Buffered header walk: varint lengths are parsed out of large chunks and
-  // bodies are skipped within the buffer (or seeked over when they exceed
-  // it), so the scan costs one fread per ~256 KiB and zero decodes.
-  constexpr std::size_t kChunk = 256 * 1024;
-  ser::Bytes buf(kChunk);
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  std::uint64_t at = st.data_begin;  // file offset of the next frame
-
-  for (std::uint64_t i = 0; i < st.info.record_count; ++i) {
-    offsets.push_back(at);
-    std::uint64_t frame_len = 0;
-    std::uint64_t varint_bytes = 0;
-    int shift = 0;
-    while (true) {
-      if (pos == len) {
-        pos = 0;
-        len = std::fread(buf.data(), 1, buf.size(), st.file.fp);
-        if (len == 0) return data_loss("dataset: truncated file");
-      }
-      const std::uint8_t byte = buf[pos++];
-      ++varint_bytes;
-      if (shift >= 64) return data_loss("dataset: corrupt record length");
-      frame_len |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-    }
-    if (frame_len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
-    at += varint_bytes + frame_len;
-    std::uint64_t remaining = frame_len;
-    while (remaining > 0) {
-      const std::uint64_t have = len - pos;
-      if (have == 0) {
-        // Body extends beyond the buffer: seek straight over the rest. A
-        // truncated file is caught by the tiling check below.
-        if (std::fseek(st.file.fp, static_cast<long>(remaining), SEEK_CUR) != 0) {
-          return data_loss("dataset: seek failed");
-        }
-        remaining = 0;
-        break;
-      }
-      const std::uint64_t take = std::min(remaining, have);
-      pos += static_cast<std::size_t>(take);
-      remaining -= take;
-    }
-  }
-  offsets.push_back(at);
-  if (at != st.footer_offset) {
-    return data_loss("dataset: record frames do not tile the data region");
-  }
-  IPA_RETURN_IF_ERROR(seek(saved));
-  return offsets;
-}
+const DatasetReader::FrameIndex& DatasetReader::frame_index() const { return state_->index; }
 
 const SchemaPtr& DatasetReader::schema() const { return state_->schema; }
 
@@ -474,11 +434,11 @@ RecordBatch DatasetReader::make_batch() const { return RecordBatch(state_->schem
 Status DatasetReader::verify_integrity() {
   State& st = *state_;
   const std::uint64_t saved = st.position;
-  if (std::fseek(st.file.fp, static_cast<long>(st.data_begin), SEEK_SET) != 0) {
+  if (std::fseek(st.file.fp, static_cast<long>(st.index.data_begin), SEEK_SET) != 0) {
     return data_loss("dataset: seek failed");
   }
   Crc32 crc;
-  std::uint64_t remaining = st.footer_offset - st.data_begin;
+  std::uint64_t remaining = st.index.data_end - st.index.data_begin;
   std::uint8_t chunk[64 * 1024];
   while (remaining > 0) {
     const std::size_t take = static_cast<std::size_t>(

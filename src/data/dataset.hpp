@@ -10,12 +10,15 @@
 //            u32 crc32 over all record bytes
 //   trailer  u64 footer offset, u32 magic "IPDF" (fixed 12 bytes)
 //
-// The sparse offset index makes record-range extraction (splitting) O(range)
-// instead of O(file).
+// The sparse offset index is validated on open (ceil(count/stride) entries,
+// the first at the first record frame, strictly increasing, all before the
+// footer). Seeks and the splitter's part boundaries start from it, so they
+// walk at most one stride of frame headers instead of the whole file.
 #pragma once
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/status.hpp"
@@ -48,13 +51,16 @@ class DatasetWriter {
 
   Status append(const Record& record);
 
-  /// Append one already-framed record — `frame` must be the exact on-disk
-  /// form `[varint length][Record bytes]`. Index offsets and the CRC are
-  /// maintained exactly as append() would, so copying frames between files
-  /// reproduces append()'s output byte for byte without decoding. The
-  /// caller vouches for the frame's integrity (the splitter obtains frames
-  /// from a scanned source file).
-  Status append_framed(const std::uint8_t* frame, std::size_t size);
+  /// Append a contiguous run of already-framed records: `frames[0, size)`
+  /// holds back-to-back frames in the exact on-disk form
+  /// `[varint length][Record bytes]`, and `frame_starts[i]` is the offset of
+  /// frame i within the run. The run costs one CRC update and one write;
+  /// index offsets come from the frame starts. append() goes through here,
+  /// so copying frames between files reproduces append()'s output byte for
+  /// byte without decoding. The caller vouches for the framing (the
+  /// splitter walks and checks every frame header it copies).
+  Status append_frames(const std::uint8_t* frames, std::size_t size,
+                       std::span<const std::size_t> frame_starts);
 
   /// Write footer+trailer and close the file. Must be called; the
   /// destructor closes without finalizing (leaving an unreadable file) and
@@ -108,11 +114,16 @@ class DatasetReader {
   std::uint64_t position() const;
   Status seek(std::uint64_t record_index);
 
-  /// File offset of every record frame plus one end-of-records sentinel
-  /// (size()+1 entries): a single buffered pass over the varint frame
-  /// headers — record bodies are skipped, never decoded. Verifies that the
-  /// frames exactly tile the record region. Restores the read position.
-  Result<std::vector<std::uint64_t>> scan_frame_offsets();
+  /// The footer's sparse frame index, validated by open(): `offsets[s]` is
+  /// the file offset of record s*stride's frame, and the record frames
+  /// occupy [data_begin, data_end) (data_end is the footer offset).
+  struct FrameIndex {
+    std::uint64_t stride = kDefaultIndexStride;
+    std::vector<std::uint64_t> offsets;
+    std::uint64_t data_begin = 0;
+    std::uint64_t data_end = 0;
+  };
+  const FrameIndex& frame_index() const;
 
   /// Verify the stored CRC against the record bytes.
   Status verify_integrity();

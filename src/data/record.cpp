@@ -86,7 +86,9 @@ Result<Record> Record::decode(ser::Reader& r) {
   record.index_ = index;
   IPA_ASSIGN_OR_RETURN(const std::uint64_t count, r.varint());
   if (count > 4096) return data_loss("record: implausible field count");
-  record.fields_.reserve(static_cast<std::size_t>(count));
+  // A field is at least a name length and a tag: two bytes.
+  record.fields_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(count, r.remaining() / 2)));
   for (std::uint64_t i = 0; i < count; ++i) {
     IPA_ASSIGN_OR_RETURN(std::string name, r.string());
     auto value = Value::decode(r);

@@ -1,7 +1,11 @@
 #include "data/splitter.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <future>
+#include <memory>
+#include <span>
 
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -9,63 +13,208 @@
 namespace ipa::data {
 namespace {
 
-/// RAII stdio handle for the per-part source reads.
-struct SourceFile {
-  std::FILE* fp = nullptr;
-  ~SourceFile() {
-    if (fp) std::fclose(fp);
-  }
+using FrameIndex = DatasetReader::FrameIndex;
+
+/// A part boundary: a record index and the file offset of its frame.
+struct Boundary {
+  std::uint64_t record = 0;
+  std::uint64_t offset = 0;
 };
 
-/// Write one part: copy the source's record frames [first, last) — located
-/// via the scanned `offsets` — into a fresh part file as raw bytes. Each
-/// writer task owns its own file handle, so parts stream out concurrently.
+/// Buffered forward walk over the record frames in [begin, end) of a source
+/// file, handed out as runs of whole frames. Every frame header is checked as
+/// it is crossed: a corrupt or oversized length, or a frame running past
+/// `end`, is data loss. A walk that reaches `end` therefore proves the frames
+/// tile the region exactly.
+class FrameWalker {
+ public:
+  static Result<FrameWalker> open(const std::string& path, std::uint64_t begin,
+                                  std::uint64_t end) {
+    FrameWalker walker;
+    walker.fp_.reset(std::fopen(path.c_str(), "rb"));
+    if (!walker.fp_) return not_found("split: cannot reopen '" + path + "'");
+    if (std::fseek(walker.fp_.get(), static_cast<long>(begin), SEEK_SET) != 0) {
+      return data_loss("split: seek failed in '" + path + "'");
+    }
+    walker.base_ = begin;
+    walker.end_ = end;
+    walker.buf_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(kRunBytes, end - begin)));
+    return walker;
+  }
+
+  /// The next run of whole frames: about kRunBytes, or one frame if that is
+  /// larger; empty once the walk reaches `end`. `starts` receives each
+  /// frame's offset within the run. The run stays valid until the next call.
+  Result<std::span<const std::uint8_t>> next_run(std::vector<std::size_t>& starts) {
+    // Drop the previous run, keeping the partial frame buffered after it.
+    if (consumed_ > 0) std::memmove(buf_.data(), buf_.data() + consumed_, len_ - consumed_);
+    len_ -= consumed_;
+    base_ += consumed_;
+    consumed_ = 0;
+    starts.clear();
+    std::size_t pos = 0;
+    while (true) {
+      const auto want = static_cast<std::size_t>(
+          std::min<std::uint64_t>(buf_.size() - len_, end_ - base_ - len_));
+      if (want > 0) {
+        if (std::fread(buf_.data() + len_, 1, want, fp_.get()) != want) {
+          return data_loss("split: truncated source file");
+        }
+        len_ += want;
+      }
+      const bool at_end = base_ + len_ == end_;
+      while (pos < len_) {
+        std::uint64_t body = 0;
+        std::size_t at = pos;
+        int shift = 0;
+        bool complete = false;
+        while (at < len_ && !complete) {
+          const std::uint8_t byte = buf_[at++];
+          if (shift >= 64) return data_loss("dataset: corrupt record length");
+          body |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+          complete = (byte & 0x80) == 0;
+          shift += 7;
+        }
+        if (!complete && at_end) return data_loss(kNoTiling);
+        if (!complete) break;
+        if (body > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
+        const std::uint64_t frame = (at - pos) + body;
+        if (frame > end_ - base_ - pos) return data_loss(kNoTiling);
+        if (frame > len_ - pos) break;
+        starts.push_back(pos);
+        pos += static_cast<std::size_t>(frame);
+      }
+      if (!starts.empty() || (at_end && pos == len_)) break;
+      // Not one whole frame is buffered: grow the buffer until the first fits.
+      buf_.resize(2 * buf_.size());
+    }
+    consumed_ = pos;
+    return std::span<const std::uint8_t>(buf_.data(), pos);
+  }
+
+  /// File offset of the run last returned by next_run().
+  std::uint64_t run_offset() const { return base_; }
+
+  static constexpr const char* kNoTiling = "split: record frames do not tile the data region";
+
+ private:
+  static constexpr std::uint64_t kRunBytes = 256 * 1024;
+
+  FrameWalker() = default;
+
+  struct Closer {
+    void operator()(std::FILE* fp) const { std::fclose(fp); }
+  };
+
+  std::unique_ptr<std::FILE, Closer> fp_;
+  std::uint64_t base_ = 0;  // file offset of buf_[0]
+  std::uint64_t end_ = 0;
+  std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;       // valid bytes in buf_
+  std::size_t consumed_ = 0;  // bytes of buf_ handed out by the last run
+};
+
+/// Part k starts at the first record whose cumulative framed bytes reach
+/// k*total/N. The sparse index gives the cumulative bytes at every stride-th
+/// record, so each boundary walks only the frames of the one index block it
+/// falls in. bounds[0] and bounds[N] are the data region's ends.
+Result<std::vector<Boundary>> place_boundaries(const std::string& path, const FrameIndex& index,
+                                               std::uint64_t records, int num_parts) {
+  const auto parts = static_cast<std::uint64_t>(num_parts);
+  std::vector<Boundary> bounds(static_cast<std::size_t>(parts) + 1,
+                               Boundary{records, index.data_end});
+  bounds.front() = Boundary{0, index.data_begin};
+  if (records == 0) return bounds;  // every part is empty
+
+  // Known points: every index entry, then the end of the data region.
+  const std::size_t points = index.offsets.size() + 1;
+  const auto point = [&](std::size_t s) {
+    return s < index.offsets.size() ? Boundary{s * index.stride, index.offsets[s]}
+                                    : Boundary{records, index.data_end};
+  };
+  const std::uint64_t total = index.data_end - index.data_begin;
+  std::vector<std::size_t> starts;
+  for (std::uint64_t k = 1; k < parts; ++k) {
+    const std::uint64_t target = index.data_begin + total * k / parts;
+    // First known point at or past the target (the last one always is); the
+    // boundary lies in the block that ends there.
+    std::size_t lo = 0;
+    std::size_t hi = points - 1;
+    while (lo < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (point(mid).offset >= target) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    const Boundary from = point(lo == 0 ? 0 : lo - 1);
+    const Boundary to = point(lo == 0 ? 1 : lo);
+    IPA_ASSIGN_OR_RETURN(FrameWalker walker, FrameWalker::open(path, from.offset, to.offset));
+    std::uint64_t record = from.record;
+    bool placed = false;
+    while (!placed) {
+      IPA_ASSIGN_OR_RETURN(const auto run, walker.next_run(starts));
+      if (run.empty()) return data_loss(FrameWalker::kNoTiling);
+      for (std::size_t i = 0; i < starts.size() && !placed; ++i) {
+        const std::uint64_t frame_end =
+            walker.run_offset() + (i + 1 < starts.size() ? starts[i + 1] : run.size());
+        ++record;
+        if (record >= to.record && (record > to.record || frame_end != to.offset)) {
+          return data_loss(FrameWalker::kNoTiling);
+        }
+        if (frame_end >= target) {
+          bounds[static_cast<std::size_t>(k)] = Boundary{record, frame_end};
+          placed = true;
+        }
+      }
+    }
+  }
+  return bounds;
+}
+
+/// Write one part: copy the source's record frames [from, to) into a fresh
+/// part file in runs. The walk checks every frame header it copies, that the
+/// frames tile [from.offset, to.offset) with exactly to.record - from.record
+/// records, and that each sparse-index entry in the range sits on its
+/// record's frame. Each task owns its file handles, so parts stream out
+/// concurrently.
 Result<PartInfo> write_part(const std::string& source_path, const DatasetInfo& info,
-                            const std::vector<std::uint64_t>& offsets, std::uint64_t first,
-                            std::uint64_t last, int k, int num_parts,
-                            const std::string& out_prefix) {
+                            const FrameIndex& index, Boundary from, Boundary to, int k,
+                            int num_parts, const std::string& out_prefix) {
   auto metadata = info.metadata;
   metadata["part.index"] = std::to_string(k);
   metadata["part.count"] = std::to_string(num_parts);
-  metadata["part.first"] = std::to_string(first);
+  metadata["part.first"] = std::to_string(from.record);
   metadata["part.parent"] = info.name;
 
   PartInfo part;
   part.path = strings::format("%s.part%d.ipd", out_prefix.c_str(), k);
-  part.first_record = first;
-  part.record_count = last - first;
+  part.first_record = from.record;
+  part.record_count = to.record - from.record;
 
   IPA_ASSIGN_OR_RETURN(
       DatasetWriter writer,
       DatasetWriter::create(part.path, info.name + "/part" + std::to_string(k),
                             std::move(metadata)));
-  if (last > first) {
-    SourceFile src;
-    src.fp = std::fopen(source_path.c_str(), "rb");
-    if (src.fp == nullptr) return not_found("split: cannot reopen '" + source_path + "'");
-    if (std::fseek(src.fp, static_cast<long>(offsets[first]), SEEK_SET) != 0) {
-      return data_loss("split: seek failed in '" + source_path + "'");
-    }
-    // Read runs of consecutive frames in one gulp, then append each frame
-    // individually so the writer's sparse index and CRC match append().
-    constexpr std::uint64_t kRunBytes = 256 * 1024;
-    std::vector<std::uint8_t> buf;
-    std::uint64_t i = first;
-    while (i < last) {
-      std::uint64_t j = i + 1;  // at least one frame, even an oversized one
-      while (j < last && offsets[j + 1] - offsets[i] <= kRunBytes) ++j;
-      const std::uint64_t run = offsets[j] - offsets[i];
-      buf.resize(static_cast<std::size_t>(run));
-      if (std::fread(buf.data(), 1, buf.size(), src.fp) != buf.size()) {
-        return data_loss("split: truncated read in '" + source_path + "'");
+  IPA_ASSIGN_OR_RETURN(FrameWalker walker,
+                       FrameWalker::open(source_path, from.offset, to.offset));
+  std::vector<std::size_t> starts;
+  std::uint64_t record = from.record;
+  while (true) {
+    IPA_ASSIGN_OR_RETURN(const auto run, walker.next_run(starts));
+    if (run.empty()) break;
+    if (starts.size() > to.record - record) return data_loss(FrameWalker::kNoTiling);
+    for (const std::size_t start : starts) {
+      if (record % index.stride == 0 &&
+          index.offsets[record / index.stride] != walker.run_offset() + start) {
+        return data_loss("split: sparse index disagrees with the record frames");
       }
-      for (const std::uint64_t base = offsets[i]; i < j; ++i) {
-        IPA_RETURN_IF_ERROR(writer.append_framed(
-            buf.data() + (offsets[i] - base),
-            static_cast<std::size_t>(offsets[i + 1] - offsets[i])));
-      }
+      ++record;
     }
+    IPA_RETURN_IF_ERROR(writer.append_frames(run.data(), run.size(), starts));
   }
+  if (record != to.record) return data_loss(FrameWalker::kNoTiling);
   IPA_RETURN_IF_ERROR(writer.finish());
 
   // Record the finished part's size.
@@ -89,34 +238,9 @@ Result<SplitResult> split_dataset(const std::string& source_path, const std::str
   result.total_records = reader.size();
   result.total_bytes = reader.info().file_bytes;
 
-  // Single pass over the frame headers (no record decoding) yields every
-  // frame's offset; boundaries balance the actual framed bytes that land in
-  // the part files: target cumulative size k * total/num_parts at the k-th
-  // boundary.
-  IPA_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> offsets, reader.scan_frame_offsets());
-  const std::uint64_t payload_total = offsets.back() - offsets.front();
-
-  // Boundary b[k] = first record index of part k.
-  std::vector<std::uint64_t> bounds(static_cast<std::size_t>(num_parts) + 1, 0);
-  bounds[static_cast<std::size_t>(num_parts)] = reader.size();
-  {
-    std::uint64_t cumulative = 0;
-    int part = 1;
-    for (std::uint64_t i = 0; i + 1 < offsets.size() && part < num_parts; ++i) {
-      cumulative += offsets[i + 1] - offsets[i];
-      // Place boundaries when cumulative bytes cross the per-part target.
-      while (part < num_parts &&
-             cumulative >= payload_total * static_cast<std::uint64_t>(part) /
-                               static_cast<std::uint64_t>(num_parts)) {
-        bounds[static_cast<std::size_t>(part)] = i + 1;
-        ++part;
-      }
-    }
-    // Any unplaced boundaries collapse to the end (more parts than data).
-    for (; part < num_parts; ++part) {
-      bounds[static_cast<std::size_t>(part)] = reader.size();
-    }
-  }
+  const FrameIndex& index = reader.frame_index();
+  IPA_ASSIGN_OR_RETURN(const std::vector<Boundary> bounds,
+                       place_boundaries(source_path, index, reader.size(), num_parts));
 
   // One writer task per part on the shared staging pool (the paper:
   // "transfers are done in parallel"). Results are collected in part order,
@@ -125,11 +249,11 @@ Result<SplitResult> split_dataset(const std::string& source_path, const std::str
   std::vector<std::future<Result<PartInfo>>> parts;
   parts.reserve(static_cast<std::size_t>(num_parts));
   for (int k = 0; k < num_parts; ++k) {
-    const std::uint64_t first = bounds[static_cast<std::size_t>(k)];
-    const std::uint64_t last = bounds[static_cast<std::size_t>(k) + 1];
-    parts.push_back(staging_pool().submit([&source_path, &info, &offsets, first, last, k,
-                                           num_parts, &out_prefix] {
-      return write_part(source_path, info, offsets, first, last, k, num_parts, out_prefix);
+    const Boundary from = bounds[static_cast<std::size_t>(k)];
+    const Boundary to = bounds[static_cast<std::size_t>(k) + 1];
+    parts.push_back(staging_pool().submit([&source_path, &info, &index, from, to, k, num_parts,
+                                           &out_prefix] {
+      return write_part(source_path, info, index, from, to, k, num_parts, out_prefix);
     }));
   }
   Status failure = Status::ok();

@@ -5,11 +5,15 @@
 // (§3.4). Parts are contiguous record ranges, balanced by encoded bytes so
 // heterogeneous records still yield even analysis work.
 //
-// The split is a single streaming pass: part boundaries come from a scan of
-// the frame headers (no record is ever decoded) and the parts are written
-// concurrently on the shared staging pool, each task raw-copying its frame
-// range — so the output bytes are identical to a sequential decode/re-encode
-// split, just produced in one pass and in parallel.
+// No record is ever decoded. Part boundaries are placed from the source's
+// sparse offset index: it gives the cumulative framed bytes at every
+// stride-th record, so each boundary walks the frame headers of only the one
+// index block it falls in. The parts are then written concurrently on the
+// shared staging pool. Each task walks and checks its own frame headers
+// while it copies them in runs: the frames must tile its byte range exactly,
+// with the last part ending at the footer, so together the tasks check that
+// the whole record region tiles. The output bytes are identical to a
+// sequential decode/re-encode split.
 #pragma once
 
 #include <string>

@@ -1,5 +1,7 @@
 #include "data/value.hpp"
 
+#include <algorithm>
+
 #include "common/strings.hpp"
 
 namespace ipa::data {
@@ -71,7 +73,8 @@ Result<Value> Value::decode(ser::Reader& r) {
         return data_loss("value: vector too large");
       }
       RealVec vec;
-      vec.reserve(static_cast<std::size_t>(count));
+      vec.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, r.remaining() / sizeof(double))));
       for (std::uint64_t i = 0; i < count; ++i) {
         IPA_ASSIGN_OR_RETURN(const double x, r.f64());
         vec.push_back(x);

@@ -87,16 +87,23 @@ class ServerWorkerPool {
     {
       LockGuard lock(mutex_);
       if (stopping_) return Admission::kStopped;
-      // Grow lazily: only spawn another worker when every live one is busy
-      // and the cap allows it. Long-lived connections each occupy a worker,
-      // so this reaches max_workers under sustained load but stays small
-      // for a test server handling one client.
-      if (idle_ == 0 && workers_.size() < options_.max_workers) {
+      // Grow lazily: spawn another worker only when the idle ones are all
+      // spoken for by items already queued (an idle worker that has not yet
+      // popped an earlier item is not free for this one), and the cap
+      // allows it. Long-lived connections each occupy a worker, so this
+      // reaches max_workers under sustained load but stays small for a test
+      // server handling one client.
+      if (idle_ <= pending_ && workers_.size() < options_.max_workers) {
         workers_.emplace_back([this] { worker_loop(); });
       }
+      ++pending_;
     }
     Timed entry{WallClock::instance().now(), std::move(item)};
     if (!queue_.try_push(std::move(entry))) {
+      {
+        LockGuard lock(mutex_);
+        --pending_;
+      }
       item = std::move(entry.item);  // rejection hands the item back
       overflow_.inc();
       obs::flight(obs::FlightKind::kConn, "pool.saturated", name_);
@@ -156,6 +163,7 @@ class ServerWorkerPool {
       {
         LockGuard lock(mutex_);
         --idle_;
+        if (entry) --pending_;
       }
       if (!entry) return;  // queue closed and drained
       queue_delay_.observe(WallClock::instance().now() - entry->enqueued_s);
@@ -174,6 +182,7 @@ class ServerWorkerPool {
   mutable Mutex mutex_{LockRank::kWorkerPool, "server-worker-pool"};
   std::vector<std::jthread> workers_ IPA_GUARDED_BY(mutex_);
   std::size_t idle_ IPA_GUARDED_BY(mutex_) = 0;
+  std::size_t pending_ IPA_GUARDED_BY(mutex_) = 0;  // admitted, not yet popped
   bool stopping_ IPA_GUARDED_BY(mutex_) = false;
 };
 

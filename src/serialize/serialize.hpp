@@ -12,6 +12,7 @@
 // input; a malformed peer message can never crash a service.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -217,7 +218,8 @@ class Reader {
     IPA_ASSIGN_OR_RETURN(const std::uint64_t count, varint());
     if (count > kMaxFieldLen) return data_loss("vector count too large");
     std::vector<T> out;
-    out.reserve(static_cast<std::size_t>(count));
+    // Every element takes at least one byte, so the input bounds the reserve.
+    out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, remaining())));
     for (std::uint64_t i = 0; i < count; ++i) {
       Result<T> item = read_one(*this);
       IPA_RETURN_IF_ERROR(item.status());

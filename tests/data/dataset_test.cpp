@@ -136,6 +136,37 @@ TEST_F(DatasetTest, IntegrityCheckCatchesBitFlip) {
   }
 }
 
+TEST_F(DatasetTest, IntegrityCheckCatchesBitFlipInsideAWordStride) {
+  // The CRC folds 8-byte words from the start of the record region: flip a
+  // byte at each position inside one word, and the region's last byte.
+  ASSERT_TRUE(write_dataset(path("w.ipd"), "w", make_records(200)).is_ok());
+  std::uint64_t data_begin = 0;
+  std::uint64_t data_end = 0;
+  {
+    auto reader = DatasetReader::open(path("w.ipd"));
+    ASSERT_TRUE(reader.is_ok());
+    data_begin = reader->frame_index().data_begin;
+    data_end = reader->frame_index().data_end;
+  }
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t lane = 0; lane < 8; ++lane) victims.push_back(data_begin + 8 * 40 + lane);
+  victims.push_back(data_end - 1);
+  for (const std::uint64_t at : victims) {
+    std::filesystem::copy_file(path("w.ipd"), path("flip.ipd"),
+                               std::filesystem::copy_options::overwrite_existing);
+    std::FILE* fp = std::fopen(path("flip.ipd").c_str(), "r+b");
+    ASSERT_NE(fp, nullptr);
+    std::fseek(fp, static_cast<long>(at), SEEK_SET);
+    const int c = std::fgetc(fp);
+    std::fseek(fp, static_cast<long>(at), SEEK_SET);
+    std::fputc(c ^ 0x10, fp);
+    std::fclose(fp);
+    auto reader = DatasetReader::open(path("flip.ipd"));
+    ASSERT_TRUE(reader.is_ok()) << "offset " << at;  // header, footer and index intact
+    EXPECT_EQ(reader->verify_integrity().code(), StatusCode::kDataLoss) << "offset " << at;
+  }
+}
+
 TEST_F(DatasetTest, OpenRejectsGarbage) {
   {
     std::FILE* fp = std::fopen(path("junk.ipd").c_str(), "wb");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "data/crc32.hpp"
 #include "data/record.hpp"
 #include "data/value.hpp"
@@ -186,6 +189,50 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   crc.update(data.data(), 10);
   crc.update(data.data() + 10, data.size() - 10);
   EXPECT_EQ(crc.value(), Crc32::of(data.data(), data.size()));
+}
+
+/// Bytewise reference CRC-32 (reflected 0xedb88320), independent of the
+/// library's table construction.
+std::uint32_t reference_crc(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_u64(0, 255));
+  return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(8);
+  const std::vector<std::uint8_t> data = random_bytes(rng, 64 + 8);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32::of(data.data() + start, len), reference_crc(data.data() + start, len))
+          << "start " << start << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, RandomChunkedUpdatesMatchReference) {
+  Rng rng(88);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<std::uint8_t> data =
+        random_bytes(rng, static_cast<std::size_t>(rng.uniform_u64(0, 1000)));
+    Crc32 crc;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const auto chunk = static_cast<std::size_t>(rng.uniform_u64(0, data.size() - at));
+      crc.update(data.data() + at, chunk);
+      at += chunk;
+    }
+    EXPECT_EQ(crc.value(), reference_crc(data.data(), data.size())) << "trial " << trial;
+  }
 }
 
 TEST(Crc32, DetectsCorruption) {

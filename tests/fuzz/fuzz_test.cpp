@@ -105,6 +105,25 @@ TEST(Fuzz, ProtocolDecodersSurviveGarbage) {
   }
 }
 
+TEST(Fuzz, PollResponseWithHugeVectorCountIsRejected) {
+  // Seed 109, trial 1475 of the sweep above: the engine-report vector
+  // claims ~176M entries in a 127-byte payload. Decoding must fail with a
+  // Status instead of reserving gigabytes.
+  const ser::Bytes junk = {
+      0x7b, 0x00, 0xa2, 0xd7, 0xa4, 0x54, 0x90, 0x7f, 0x80, 0xfd, 0xcb, 0x97, 0xf9, 0x5b, 0x32,
+      0xb5, 0x45, 0xbc, 0x15, 0xcf, 0xcc, 0xd5, 0x38, 0x7f, 0x7d, 0x3a, 0x64, 0x12, 0xe7, 0x90,
+      0x9d, 0xbd, 0x7a, 0xc2, 0xb5, 0x97, 0xd4, 0xfc, 0xef, 0x2a, 0x6f, 0xb7, 0xcf, 0xa9, 0xab,
+      0xd0, 0x9f, 0x99, 0xd0, 0x23, 0xf0, 0xa0, 0x6d, 0x13, 0x9b, 0x76, 0x5a, 0xba, 0x0b, 0xa2,
+      0xf2, 0xb1, 0x22, 0x25, 0xd9, 0x1f, 0xe6, 0xd0, 0x03, 0x54, 0xaa, 0x61, 0x59, 0xd8, 0x32,
+      0xa1, 0x14, 0xd8, 0xb5, 0xac, 0xc7, 0xb5, 0xd3, 0x8b, 0xd9, 0x41, 0x68, 0x8b, 0x27, 0xda,
+      0x3e, 0xe1, 0xd6, 0x88, 0x48, 0xfa, 0x57, 0x91, 0x0f, 0x0f, 0x49, 0x57, 0x28, 0x58, 0x75,
+      0x0e, 0xe7, 0xbc, 0xfd, 0xd6, 0x26, 0x33, 0x94, 0x17, 0xf6, 0x18, 0x17, 0x6d, 0x13, 0xc0,
+      0x51, 0x53, 0x75, 0x30, 0x7b, 0xba, 0x94};
+  ASSERT_EQ(junk.size(), 127u);
+  auto response = services::decode_poll_response(junk);
+  EXPECT_EQ(response.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(Fuzz, XmlParserSurvivesRandomMarkup) {
   Rng rng(113);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -1,5 +1,6 @@
 // Staging-pipeline suite: the single-pass parallel splitter must be
-// byte-identical to a sequential two-pass decode/re-encode split, the
+// byte-identical to a sequential two-pass decode/re-encode split and must
+// turn a corrupt sparse index or frame length into data loss, the
 // session fan-out must not serialize on a slow seat (and must aggregate
 // errors deterministically), and the bounded server worker pool must cap
 // threads and count overflow instead of spawning without limit.
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <semaphore>
@@ -162,22 +164,169 @@ TEST_F(StagingTest, SplitIsByteIdenticalToTwoPassReference) {
   }
 }
 
-TEST_F(StagingTest, ScanFrameOffsetsTilesTheRecordRegion) {
-  ASSERT_TRUE(data::write_dataset(path("scan.ipd"), "scan", make_records(257)).is_ok());
-  auto reader = data::DatasetReader::open(path("scan.ipd"));
-  ASSERT_TRUE(reader.is_ok());
-  // Move the cursor first: the scan must restore it.
-  ASSERT_TRUE(reader->seek(100).is_ok());
-  auto offsets = reader->scan_frame_offsets();
-  ASSERT_TRUE(offsets.is_ok()) << offsets.status().to_string();
-  ASSERT_EQ(offsets->size(), 258u);  // one per record + end sentinel
-  for (std::size_t i = 0; i + 1 < offsets->size(); ++i) {
-    EXPECT_LT((*offsets)[i], (*offsets)[i + 1]);
+/// Write `records` as a dataset whose sparse index has the given stride.
+Status write_with_stride(const std::string& file, const std::vector<data::Record>& records,
+                         std::uint64_t stride) {
+  IPA_ASSIGN_OR_RETURN(data::DatasetWriter writer,
+                       data::DatasetWriter::create(file, "strided", {{"run", "9"}}, stride));
+  for (const data::Record& record : records) IPA_RETURN_IF_ERROR(writer.append(record));
+  return writer.finish();
+}
+
+TEST_F(StagingTest, SplitMatchesReferenceAcrossStridesPartCountsAndSizes) {
+  // Sizes cover the empty, single-record and more-parts-than-records cases.
+  for (const std::size_t records : {0u, 1u, 5u, 1000u}) {
+    for (const std::uint64_t stride : {1u, 7u, 256u}) {
+      const std::string tag = std::to_string(records) + "-" + std::to_string(stride);
+      const std::string source = path("src" + tag + ".ipd");
+      ASSERT_TRUE(write_with_stride(source, make_records(records), stride).is_ok());
+      for (const int parts : {1, 3, 16, 64}) {
+        const std::string run = tag + "-" + std::to_string(parts);
+        auto split = data::split_dataset(source, path("fast" + run), parts);
+        ASSERT_TRUE(split.is_ok()) << run << ": " << split.status().to_string();
+        ASSERT_TRUE(reference_split(source, path("ref" + run), parts).is_ok()) << run;
+        ASSERT_EQ(split->parts.size(), static_cast<std::size_t>(parts));
+        for (int k = 0; k < parts; ++k) {
+          const std::string ref = path("ref" + run + ".part" + std::to_string(k) + ".ipd");
+          EXPECT_EQ(file_bytes(split->parts[static_cast<std::size_t>(k)].path), file_bytes(ref))
+              << "part " << k << " of " << run << " differs from the two-pass reference";
+        }
+        EXPECT_TRUE(data::verify_split(source, *split).is_ok()) << run;
+      }
+    }
   }
-  EXPECT_EQ(reader->position(), 100u);
-  auto record = reader->next();
-  ASSERT_TRUE(record.is_ok());
-  EXPECT_EQ(record->index(), 100u);
+}
+
+// --- corrupt sources -------------------------------------------------------
+
+/// File offset of every record frame of `records` written from `data_begin`.
+std::vector<std::uint64_t> frame_offsets(const std::vector<data::Record>& records,
+                                         std::uint64_t data_begin) {
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t at = data_begin;
+  for (const data::Record& record : records) {
+    offsets.push_back(at);
+    ser::Writer w;
+    record.encode(w);
+    at += varint_size(w.size()) + w.size();
+  }
+  return offsets;
+}
+
+void overwrite(const std::string& file, std::uint64_t offset,
+               const std::vector<std::uint8_t>& bytes) {
+  std::FILE* fp = std::fopen(file.c_str(), "r+b");
+  ASSERT_NE(fp, nullptr) << file;
+  ASSERT_EQ(std::fseek(fp, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), fp), bytes.size());
+  std::fclose(fp);
+}
+
+/// Toggle the low bit of the frame length of the record at `offset`: the
+/// frame claims one byte more or less than it holds.
+void corrupt_frame_length(const std::string& file, std::uint64_t offset) {
+  std::FILE* fp = std::fopen(file.c_str(), "rb");
+  ASSERT_NE(fp, nullptr) << file;
+  ASSERT_EQ(std::fseek(fp, static_cast<long>(offset), SEEK_SET), 0);
+  const int byte = std::fgetc(fp);
+  std::fclose(fp);
+  ASSERT_NE(byte, EOF);
+  overwrite(file, offset, {static_cast<std::uint8_t>(byte ^ 0x01)});
+}
+
+std::vector<std::uint8_t> le64(std::uint64_t v) {
+  std::vector<std::uint8_t> out(8);
+  for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return out;
+}
+
+TEST_F(StagingTest, CorruptIndexEntriesAreDataLoss) {
+  const std::vector<data::Record> records = make_records(100);
+  const std::string clean = path("clean.ipd");
+  ASSERT_TRUE(write_with_stride(clean, records, 7).is_ok());
+  auto reader = data::DatasetReader::open(clean);
+  ASSERT_TRUE(reader.is_ok());
+  const data::DatasetReader::FrameIndex index = reader->frame_index();
+  ASSERT_EQ(index.offsets.size(), 15u);  // ceil(100 / 7)
+  // Footer: varint count, varint stride, varint entry count, u64 entries.
+  const std::uint64_t stride_at = index.data_end + varint_size(100);
+  const std::uint64_t entries_at = stride_at + varint_size(7) + varint_size(15);
+  const auto entry_at = [&](std::size_t s) { return entries_at + 8 * s; };
+
+  struct Corruption {
+    std::string what;
+    std::uint64_t offset;
+    std::vector<std::uint8_t> bytes;
+    bool open_fails;  // false: plausible but wrong, caught by the split walk
+  };
+  const std::vector<Corruption> cases = {
+      {"stride no longer matches the entry count", stride_at, {8}, true},
+      {"first entry is not the first frame", entry_at(0), le64(index.data_begin + 1), true},
+      {"entries not strictly increasing", entry_at(3), le64(index.offsets[2]), true},
+      {"entry at the footer", entry_at(5), le64(index.data_end), true},
+      {"entry far past the file", entry_at(14), le64(1ULL << 62), true},
+      {"entry off its frame", entry_at(6), le64(index.offsets[6] + 1), false},
+  };
+  for (const Corruption& c : cases) {
+    const std::string file = path("bad.ipd");
+    std::filesystem::copy_file(clean, file, std::filesystem::copy_options::overwrite_existing);
+    overwrite(file, c.offset, c.bytes);
+    auto opened = data::DatasetReader::open(file);
+    EXPECT_EQ(opened.is_ok(), !c.open_fails) << c.what;
+    if (!opened.is_ok()) {
+      EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss) << c.what;
+    }
+    for (const int parts : {1, 4, 16}) {
+      auto split = data::split_dataset(file, path("bad" + std::to_string(parts)), parts);
+      EXPECT_EQ(split.status().code(), StatusCode::kDataLoss) << c.what << ", " << parts;
+    }
+  }
+}
+
+TEST_F(StagingTest, CorruptFrameLengthInsideOnePartFailsTheSplit) {
+  const std::vector<data::Record> records = make_records(2000);
+  const std::string file = path("frames.ipd");
+  ASSERT_TRUE(write_with_stride(file, records, 256).is_ok());
+  auto clean = data::split_dataset(file, path("clean"), 4);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  std::uint64_t data_begin = 0;
+  {
+    auto reader = data::DatasetReader::open(file);
+    ASSERT_TRUE(reader.is_ok());
+    data_begin = reader->frame_index().data_begin;
+  }
+  // A record in the middle of part 1, in an index block that no boundary
+  // falls in: only part 1's own walk crosses its frame.
+  const data::PartInfo& part = clean->parts[1];
+  const std::uint64_t victim = part.first_record + part.record_count / 2;
+  for (std::size_t k = 1; k < clean->parts.size(); ++k) {
+    const std::uint64_t boundary = clean->parts[k].first_record;
+    ASSERT_NE(victim / 256, (boundary - 1) / 256) << "a boundary walk crosses the victim";
+  }
+  corrupt_frame_length(file, frame_offsets(records, data_begin)[victim]);
+  ASSERT_TRUE(data::DatasetReader::open(file).is_ok());  // footer and index intact
+  auto split = data::split_dataset(file, path("corrupt"), 4);
+  EXPECT_EQ(split.status().code(), StatusCode::kDataLoss) << split.status().to_string();
+}
+
+TEST_F(StagingTest, SplitChecksThatFramesTileEveryPartUpToTheFooter) {
+  // The last frame sits after the last index entry, so only the last part's
+  // tiling check can notice that it no longer ends at the footer.
+  const std::vector<data::Record> records = make_records(1000);
+  const std::string file = path("tile.ipd");
+  ASSERT_TRUE(data::write_dataset(file, "tile", records).is_ok());
+  std::uint64_t data_begin = 0;
+  {
+    auto reader = data::DatasetReader::open(file);
+    ASSERT_TRUE(reader.is_ok());
+    data_begin = reader->frame_index().data_begin;
+  }
+  corrupt_frame_length(file, frame_offsets(records, data_begin).back());
+  for (const int parts : {1, 3, 16}) {
+    auto split = data::split_dataset(file, path("tile" + std::to_string(parts)), parts);
+    EXPECT_EQ(split.status().code(), StatusCode::kDataLoss)
+        << parts << " parts: " << split.status().to_string();
+  }
 }
 
 // --- edge cases ------------------------------------------------------------
@@ -442,6 +591,33 @@ TEST_F(StagingTest, ServerPoolCapsWorkersAndCountsOverflow) {
   EXPECT_EQ(handled.load(), 4);
   pool.stop();
   EXPECT_EQ(pool.submit(6), net::Admission::kStopped);  // stopped pools reject
+}
+
+TEST_F(StagingTest, ServerPoolServesEveryItemQueuedWhileWorkersStart) {
+  // Items that each hold a worker for good (like a long-lived engine
+  // connection) must each get a worker, even when a burst of submits lands
+  // while freshly spawned workers are idle but have not yet taken the
+  // earlier items. Many short trials give the preemption race its chances.
+  constexpr int kItems = 4;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::atomic<int> entered{0};
+    std::counting_semaphore<kItems> release(0);
+    net::ServerPoolOptions options;
+    options.max_workers = 2 * kItems;
+    net::ServerWorkerPool<int> pool("staging-burst", options, [&](int) {
+      entered.fetch_add(1);
+      release.acquire();
+    });
+    for (int i = 0; i < kItems; ++i) ASSERT_EQ(pool.submit(i), net::Admission::kAdmitted);
+    const auto deadline = Clock::now() + std::chrono::seconds(2);
+    while (entered.load() < kItems && Clock::now() < deadline) {
+      // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the entered counter decides.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    release.release(kItems);
+    pool.stop();
+    ASSERT_EQ(entered.load(), kItems) << "trial " << trial << ": a queued item got no worker";
+  }
 }
 
 }  // namespace
