@@ -190,11 +190,13 @@ int main(int argc, char** argv) {
   // poll burst from every user at once must be absorbed, not 503'd.
   config.soap_pool.max_workers = 16;
   config.soap_pool.queue_capacity = static_cast<std::size_t>(flags.users) * 2 + 64;
-  // The engine RPC fabric is inproc (reader-thread path, one worker pinned
-  // per live channel), so that pool still scales with the user count.
-  config.rpc_pool.max_workers =
-      static_cast<std::size_t>(flags.users) * (static_cast<std::size_t>(flags.nodes) + 1) + 32;
-  config.rpc_pool.queue_capacity = static_cast<std::size_t>(flags.users) + 64;
+  // The engine RPC fabric rides a reactor too, so it gets the same fixed
+  // crew. Its queue absorbs two calls in flight on every live channel at
+  // once: each engine heartbeats and pushes, each user polls.
+  config.rpc_pool.max_workers = 16;
+  config.rpc_pool.queue_capacity =
+      static_cast<std::size_t>(flags.users) * (static_cast<std::size_t>(flags.nodes) + 1) * 2 +
+      64;
   // One physical core serves hundreds of threads here: generous liveness
   // windows keep scheduling hiccups from being misread as dead engines.
   config.heartbeat_interval_s = 0.25;

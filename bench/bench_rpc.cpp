@@ -1,7 +1,8 @@
 // Channel ablation: why the paper uses heavyweight SOAP for control but a
 // lightweight RMI-style channel for high-frequency histogram polling.
 // Measures round-trip cost of binary RPC (inproc + TCP) vs SOAP-over-HTTP
-// (TCP), at the payload sizes a polling client actually sees.
+// (TCP), at the payload sizes a polling client actually sees. Wall time per
+// call: the server's reactor and worker threads are part of the round trip.
 #include <benchmark/benchmark.h>
 
 #include "rpc/rpc.hpp"
@@ -41,11 +42,12 @@ void BM_RpcInproc(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(*reply);
   }
+  state.SetItemsProcessed(state.iterations());  // calls/s, gated in BENCH_batch.json
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload.size()));
   server.stop();
 }
-BENCHMARK(BM_RpcInproc)->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_RpcInproc)->Arg(64)->Arg(4096)->Arg(65536)->UseRealTime();
 
 void BM_RpcTcp(benchmark::State& state) {
   Uri endpoint = Uri::parse("tcp://127.0.0.1:0").value();
@@ -66,11 +68,12 @@ void BM_RpcTcp(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(*reply);
   }
+  state.SetItemsProcessed(state.iterations());  // calls/s, gated in BENCH_batch.json
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload.size()));
   server.stop();
 }
-BENCHMARK(BM_RpcTcp)->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_RpcTcp)->Arg(64)->Arg(4096)->Arg(65536)->UseRealTime();
 
 void BM_SoapTcp(benchmark::State& state) {
   soap::SoapServer server("127.0.0.1", 0);
@@ -97,11 +100,12 @@ void BM_SoapTcp(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(*reply);
   }
+  state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(body.size()));
   server.stop();
 }
-BENCHMARK(BM_SoapTcp)->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_SoapTcp)->Arg(64)->Arg(4096)->Arg(65536)->UseRealTime();
 
 }  // namespace
 

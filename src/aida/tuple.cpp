@@ -8,6 +8,8 @@ Tuple::Tuple(std::string title, std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns)) {}
 
 Status Tuple::fill(std::vector<double> row) {
+  // A row without columns carries nothing, and decode() refuses the shape.
+  if (columns_.empty()) return failed_precondition("tuple: '" + title_ + "' has no columns");
   if (row.size() != columns_.size()) {
     return invalid_argument("tuple: row width " + std::to_string(row.size()) +
                             " != column count " + std::to_string(columns_.size()));
@@ -60,6 +62,9 @@ Result<Tuple> Tuple::decode(ser::Reader& r) {
   IPA_ASSIGN_OR_RETURN(tuple.annotation_, r.string_map());
   IPA_ASSIGN_OR_RETURN(const std::uint64_t row_count, r.varint());
   const std::size_t width = tuple.columns_.size();
+  // Empty rows cost no input bytes but a vector each: refuse the shape
+  // fill() never produces rather than allocate for it.
+  if (width == 0 && row_count > 0) return data_loss("tuple: rows without columns");
   if (row_count > ser::Reader::kMaxFieldLen / (width ? width : 1)) {
     return data_loss("tuple: implausible row count");
   }

@@ -21,7 +21,8 @@ class Tuple {
   std::map<std::string, std::string>& annotation() { return annotation_; }
   const std::map<std::string, std::string>& annotation() const { return annotation_; }
 
-  /// Append a row; its width must equal the column count.
+  /// Append a row; its width must equal the column count, and a tuple
+  /// without columns takes no rows (kFailedPrecondition).
   Status fill(std::vector<double> row);
 
   std::size_t rows() const { return rows_.size(); }

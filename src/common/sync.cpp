@@ -12,6 +12,7 @@ const char* to_string(LockRank rank) {
   switch (rank) {
     case LockRank::kUnranked: return "unranked";
     case LockRank::kIds: return "ids";
+    case LockRank::kStopFlag: return "stop-flag";
     case LockRank::kLog: return "log";
     case LockRank::kFlight: return "flight";
     case LockRank::kMetrics: return "metrics";
@@ -22,7 +23,6 @@ const char* to_string(LockRank rank) {
     case LockRank::kTransport: return "transport";
     case LockRank::kReactor: return "reactor";
     case LockRank::kReactorStream: return "reactor-stream";
-    case LockRank::kNetRegistry: return "net-registry";
     case LockRank::kWorkerPool: return "worker-pool";
     case LockRank::kServer: return "server";
     case LockRank::kChannel: return "channel";

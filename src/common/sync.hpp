@@ -102,6 +102,8 @@ enum class LockRank : int {
 
   // --- leaves: never hold anything else while these are held ----------
   kIds = 10,          // common/ids random-word generator
+  kStopFlag = 15,     // background-loop stop flags (worker heartbeat, manager
+                      //   monitor): held only to set or wait on the flag
   kLog = 20,          // common/log sink + stderr emit locks
   kFlight = 25,       // obs::FlightRecorder journal table (cold: registration
                       //   and snapshots only; the event write path is lock-free)
@@ -113,11 +115,10 @@ enum class LockRank : int {
                       //   Locator, fault dial ordinals
 
   // --- message plumbing ------------------------------------------------
-  kQueue = 60,        // MpmcQueue internals (thread pools, inproc pipes)
-  kTransport = 70,    // tcp send serialization, fault streams
+  kQueue = 60,        // MpmcQueue internals (thread pools, server work queues)
+  kTransport = 70,    // socket send serialization, fault streams
   kReactor = 72,      // net::Reactor fd table, timer wheel, posted-op queue
   kReactorStream = 74,  // net::Stream write buffer (arms the reactor under it)
-  kNetRegistry = 80,  // inproc endpoint registry (holds kQueue via offer)
   kWorkerPool = 90,   // net::ServerWorkerPool bookkeeping
   kServer = 100,      // RpcServer service table, http::Server routes
   kChannel = 110,     // RpcClient / http::Client per-channel call locks

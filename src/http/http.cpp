@@ -1,17 +1,12 @@
 #include "http/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
-
 #include <cctype>
-#include <cerrno>
+#include <exception>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "net/socket_io.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace ipa::http {
@@ -195,28 +190,39 @@ namespace {
 // UIs with multi-second gaps must survive.
 constexpr double kDefaultHttpIdleTimeoutS = 75.0;
 
-obs::Gauge& open_conns_gauge() {
-  return obs::Registry::global().gauge(
-      "ipa_server_open_connections", {{"server", "http"}},
-      "Currently open client connections, idle keep-alive peers included.");
+net::StreamOptions http_stream_options(const net::ServerPoolOptions& pool) {
+  net::StreamOptions options;
+  options.idle_timeout_s =
+      pool.idle_timeout_s == 0 ? kDefaultHttpIdleTimeoutS : std::max(pool.idle_timeout_s, 0.0);
+  options.max_input_bytes = kMaxHeaderBytes + kMaxBodyBytes;
+  return options;
 }
 
 }  // namespace
 
 struct Server::Conn {
-  std::uint64_t id = 0;
-  std::shared_ptr<net::Stream> stream;
-  RequestParser parser;  // loop thread only
-  bool busy = false;     // loop thread only: a worker owns the next response
-  bool closing = false;  // loop thread only: stop feeding the parser
+  RequestParser parser;
+  bool busy = false;     // a worker owns the next response
+  bool closing = false;  // stop feeding the parser
 };
 
 Server::Server(std::string host, std::uint16_t port, net::ServerPoolOptions pool)
     : host_(std::move(host)),
       port_(port),
-      idle_timeout_s_(pool.idle_timeout_s == 0 ? kDefaultHttpIdleTimeoutS
-                                               : std::max(pool.idle_timeout_s, 0.0)),
       reactor_({.name = "http"}),
+      acceptor_(reactor_, "http", http_stream_options(pool),
+                [this] {
+                  auto conn = std::make_shared<Conn>();
+                  return [this, conn](const std::shared_ptr<net::Stream>& stream,
+                                      std::string& input) {
+                    if (!conn->closing) {
+                      conn->parser.feed(input);
+                      pump(conn, stream);
+                    }
+                    input.clear();
+                    return Status::ok();
+                  };
+                }),
       pool_("http", pool, [this](Task task) { handle_task(std::move(task)); }) {}
 
 Server::~Server() { stop(); }
@@ -227,50 +233,24 @@ void Server::route(std::string pattern, Handler handler) {
 }
 
 Result<Uri> Server::start() {
-  std::uint16_t bound_port = 0;
-  auto fd = net::tcp_listen_fd(host_, port_, bound_port);
-  IPA_RETURN_IF_ERROR(fd.status());
-  listen_fd_ = std::move(*fd);
-  IPA_RETURN_IF_ERROR(net::set_nonblocking(listen_fd_.get()));
-  IPA_RETURN_IF_ERROR(reactor_.start());
-  auto token = reactor_.add_fd(listen_fd_.get(), EPOLLIN,
-                               [this](std::uint32_t) { on_accept_ready(); });
-  if (!token.is_ok()) {
-    reactor_.stop();
-    return token.status();
-  }
-  listen_token_ = *token;
+  Uri requested;
+  requested.scheme = "tcp";
+  requested.host = host_;
+  requested.port = port_;
+  IPA_ASSIGN_OR_RETURN(net::Listening listening, net::listen(requested));
+  bound_ = listening.endpoint;
   bound_.scheme = "http";
-  bound_.host = host_.empty() ? "127.0.0.1" : host_;
-  bound_.port = bound_port;
+  IPA_RETURN_IF_ERROR(reactor_.start());
+  IPA_RETURN_IF_ERROR(acceptor_.start(std::move(listening)));
   IPA_LOG(debug) << "http server on " << bound_.to_string();
   return bound_;
 }
 
 void Server::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listen_token_ != 0) reactor_.remove_fd(listen_token_);
   pool_.stop();     // in-flight handlers finish; their response posts may
                     // still reach the reactor, which is stopped after them
   reactor_.stop();  // drops pending posts, clears fd/timer registrations
-  listen_fd_.reset();
-  // Surviving connections never saw on_close (the reactor is gone). Release
-  // their streams explicitly: the stream's read callback holds the Conn and
-  // the Conn holds the stream, so the stream must be dropped first.
-  std::map<std::uint64_t, std::shared_ptr<Conn>> survivors;
-  {
-    LockGuard lock(conns_mutex_);
-    survivors.swap(conns_);
-  }
-  for (auto& [id, conn] : survivors) {
-    conn->stream.reset();
-    open_conns_gauge().add(-1);
-  }
-}
-
-std::size_t Server::open_connections() const {
-  LockGuard lock(conns_mutex_);
-  return conns_.size();
+  acceptor_.stop();
 }
 
 Handler Server::find_handler(const std::string& path) const {
@@ -291,66 +271,11 @@ Handler Server::find_handler(const std::string& path) const {
   return best ? best->second : Handler{};
 }
 
-void Server::on_accept_ready() {
-  // Level-triggered: drain the backlog fully each readiness event.
-  for (;;) {
-    sockaddr_in addr{};
-    socklen_t addr_len = sizeof addr;
-    const int raw = ::accept4(listen_fd_.get(), reinterpret_cast<sockaddr*>(&addr), &addr_len,
-                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (raw < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN (backlog drained) or a transient accept error
-    }
-    int one = 1;
-    ::setsockopt(raw, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    char ip[INET_ADDRSTRLEN] = {0};
-    ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
-    std::string peer = std::string("tcp:") + ip + ":" + std::to_string(ntohs(addr.sin_port));
-
-    auto conn = std::make_shared<Conn>();
-    net::StreamOptions stream_options;
-    stream_options.idle_timeout_s = idle_timeout_s_;
-    stream_options.max_input_bytes = kMaxHeaderBytes + kMaxBodyBytes;
-    auto stream = net::Stream::adopt(
-        reactor_, net::Fd(raw), std::move(peer), stream_options,
-        [this, conn](std::string& input) {
-          if (!conn->closing) {
-            conn->parser.feed(input);
-            input.clear();
-            pump(conn);
-          } else {
-            input.clear();
-          }
-          return Status::ok();
-        },
-        [this, conn] {
-          bool erased = false;
-          {
-            LockGuard lock(conns_mutex_);
-            erased = conns_.erase(conn->id) > 0;
-          }
-          if (erased) open_conns_gauge().add(-1);
-        });
-    if (!stream.is_ok()) continue;  // fd closed by the dropped net::Fd
-    conn->stream = *stream;
-    {
-      LockGuard lock(conns_mutex_);
-      conn->id = ++next_conn_id_;
-      conns_[conn->id] = conn;
-    }
-    open_conns_gauge().add(1);
-    obs::Registry::global()
-        .counter("ipa_server_connections_total", {{"server", "http"}},
-                 "Client connections accepted since process start.")
-        .inc();
-  }
-}
-
 // Advance one connection's parse → dispatch cycle. Only ever runs on the
 // loop thread; the `busy` flag keeps at most one request per connection in
 // flight so pipelined responses go out in request order.
-void Server::pump(const std::shared_ptr<Conn>& conn) {
+void Server::pump(const std::shared_ptr<Conn>& conn,
+                  const std::shared_ptr<net::Stream>& stream) {
   while (!conn->busy && !conn->closing) {
     Request request;
     auto got = conn->parser.next(request);
@@ -358,7 +283,7 @@ void Server::pump(const std::shared_ptr<Conn>& conn) {
       Response bad = Response::make(400, got.status().message());
       bad.headers["Connection"] = "close";
       conn->closing = true;
-      conn->stream->send(bad.serialize(), /*close_after=*/true);
+      stream->send(bad.serialize(), /*close_after=*/true);
       return;
     }
     if (!*got) return;  // need more bytes; the reactor will call back
@@ -366,7 +291,7 @@ void Server::pump(const std::shared_ptr<Conn>& conn) {
     const bool keep_alive =
         !strings::iequals(request.header_or("Connection", "keep-alive"), "close");
     conn->busy = true;
-    Task task{conn, std::move(request), keep_alive};
+    Task task{conn, stream, std::move(request), keep_alive};
     // A full queue sheds load per request instead of queueing unboundedly —
     // but tells the client so: a best-effort 503 with a Retry-After hint
     // beats the ambiguous silent close (which reads as a network fault and
@@ -380,13 +305,13 @@ void Server::pump(const std::shared_ptr<Conn>& conn) {
         busy.headers["Connection"] = "close";
         conn->busy = false;
         conn->closing = true;
-        conn->stream->send(busy.serialize(), /*close_after=*/true);
+        stream->send(busy.serialize(), /*close_after=*/true);
         return;
       }
       case net::Admission::kStopped:
         conn->busy = false;
         conn->closing = true;
-        conn->stream->close();
+        stream->close();
         return;
     }
   }
@@ -396,10 +321,17 @@ void Server::handle_task(Task task) {
   const Request& request = task.request;
   Handler handler = find_handler(request.target);
   Response response;
-  if (handler) {
-    response = handler(request);
-  } else {
+  if (!handler) {
     response = Response::make(404, "no route for " + request.target);
+  } else {
+    // A throwing handler fails its own request, not the site.
+    try {
+      response = handler(request);
+    } catch (const std::exception& e) {
+      obs::flight(obs::FlightKind::kError, "http.handler_threw", request.target);
+      IPA_LOG(error) << "http: handler for " << request.target << " threw: " << e.what();
+      response = Response::make(500, std::string("handler threw: ") + e.what());
+    }
   }
   if (response.reason.empty()) response.reason = reason_phrase(response.status);
   response.headers["Connection"] = task.keep_alive ? "keep-alive" : "close";
@@ -420,12 +352,11 @@ void Server::handle_task(Task task) {
       .inc(wire.size());
   ++served_;  // counted before the write so it is visible once the
               // client has the response in hand
-  task.conn->stream->send(wire, /*close_after=*/!task.keep_alive);
+  task.stream->send(wire, /*close_after=*/!task.keep_alive);
   if (task.keep_alive) {
-    auto conn = task.conn;
-    reactor_.post([this, conn] {
+    reactor_.post([this, conn = std::move(task.conn), stream = std::move(task.stream)] {
       conn->busy = false;
-      pump(conn);  // serve the next pipelined/keep-alive request, if parsed
+      pump(conn, stream);  // serve the next pipelined/keep-alive request, if parsed
     });
   }
 }

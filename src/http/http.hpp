@@ -18,6 +18,7 @@
 #include "common/status.hpp"
 #include "common/sync.hpp"
 #include "common/uri.hpp"
+#include "net/acceptor.hpp"
 #include "net/reactor.hpp"
 #include "net/worker_pool.hpp"
 
@@ -95,7 +96,8 @@ using Handler = std::function<Response(const Request&)>;
 /// best-effort 503 + Retry-After and counted on
 /// `ipa_server_overflow_total{server="http"}`; open sockets are tracked on
 /// `ipa_server_open_connections{server="http"}` and idle peers (slow-loris,
-/// half-open) are reaped after `pool.idle_timeout_s`.
+/// half-open) are reaped after `pool.idle_timeout_s`. A handler that throws
+/// answers 500 with the exception text.
 class Server {
  public:
   /// host may be empty (=127.0.0.1); port 0 picks an ephemeral port.
@@ -115,40 +117,34 @@ class Server {
   Uri endpoint() const { return bound_; }
   std::uint64_t requests_served() const { return served_.load(); }
   /// Currently open client connections (includes idle keep-alive peers).
-  std::size_t open_connections() const;
+  std::size_t open_connections() const { return acceptor_.open_connections(); }
 
  private:
-  /// Per-connection state; owned jointly by the reactor callbacks and the
-  /// connection registry, touched only on the loop thread (except the
-  /// stream, which is internally thread-safe).
+  /// Per-connection parse state, owned by the connection's data callback
+  /// and touched only on the loop thread.
   struct Conn;
   /// One parsed request queued for a pool worker.
   struct Task {
     std::shared_ptr<Conn> conn;
+    std::shared_ptr<net::Stream> stream;
     Request request;
     bool keep_alive = true;
   };
 
-  void on_accept_ready();                          // loop thread
-  void pump(const std::shared_ptr<Conn>& conn);    // loop thread
-  void handle_task(Task task);                     // pool worker
+  void pump(const std::shared_ptr<Conn>& conn,
+            const std::shared_ptr<net::Stream>& stream);  // loop thread
+  void handle_task(Task task);                          // pool worker
   Handler find_handler(const std::string& path) const;
 
   std::string host_;
   std::uint16_t port_;
   Uri bound_;
-  net::Fd listen_fd_;
-  std::uint64_t listen_token_ = 0;
-  double idle_timeout_s_ = 0;
   net::Reactor reactor_;
+  net::Acceptor acceptor_;
   mutable SharedMutex mutex_{LockRank::kServer, "http-routes"};
   std::vector<std::pair<std::string, Handler>> routes_ IPA_GUARDED_BY(mutex_);
   net::ServerWorkerPool<Task> pool_;
-  std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> served_{0};
-  mutable Mutex conns_mutex_{LockRank::kServer, "http-conns"};
-  std::uint64_t next_conn_id_ IPA_GUARDED_BY(conns_mutex_) = 0;
-  std::map<std::uint64_t, std::shared_ptr<Conn>> conns_ IPA_GUARDED_BY(conns_mutex_);
 };
 
 /// Blocking HTTP/1.1 client with a persistent (keep-alive) connection.

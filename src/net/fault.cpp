@@ -189,24 +189,6 @@ class FaultConnection final : public Connection {
   std::atomic<bool> half_open_{false};
 };
 
-/// Listener that re-brands the bound endpoint as chaos so every dialer
-/// inherits the fault policy. Accepted connections are returned unwrapped:
-/// faults are injected on the dialing side only, so each logical link has
-/// exactly one schedule.
-class FaultListener final : public Listener {
- public:
-  FaultListener(ListenerPtr inner, Uri chaos_endpoint)
-      : inner_(std::move(inner)), endpoint_(std::move(chaos_endpoint)) {}
-
-  Result<ConnectionPtr> accept(double timeout_s) override { return inner_->accept(timeout_s); }
-  void close() override { inner_->close(); }
-  Uri endpoint() const override { return endpoint_; }
-
- private:
-  ListenerPtr inner_;
-  Uri endpoint_;
-};
-
 Result<double> parse_prob(const Uri& endpoint, const char* key) {
   const std::string text = endpoint.query_or(key);
   if (text.empty()) return 0.0;
@@ -268,24 +250,18 @@ Result<FaultPolicy> FaultPolicy::from_uri(const Uri& endpoint) {
   return policy;
 }
 
-Result<ListenerPtr> FaultInjectingTransport::listen(const Uri& endpoint) {
+Result<Listening> listen_chaos(const Uri& endpoint) {
   IPA_RETURN_IF_ERROR(FaultPolicy::from_uri(endpoint).status());  // reject bad policy early
-  IPA_ASSIGN_OR_RETURN(ListenerPtr inner, inner_.listen(strip_chaos(endpoint)));
-  Uri bound = inner->endpoint();
-  bound.scheme = endpoint.scheme;
-  bound.query = endpoint.query;  // dialers must inherit the policy
-  return ListenerPtr(new FaultListener(std::move(inner), std::move(bound)));
+  IPA_ASSIGN_OR_RETURN(Listening listening, listen(strip_chaos(endpoint)));
+  listening.endpoint.scheme = endpoint.scheme;
+  listening.endpoint.query = endpoint.query;  // dialers must inherit the policy
+  return listening;
 }
 
-Result<ConnectionPtr> FaultInjectingTransport::connect(const Uri& endpoint, double timeout_s) {
+Result<ConnectionPtr> connect_chaos(const Uri& endpoint, double timeout_s) {
   IPA_ASSIGN_OR_RETURN(const FaultPolicy policy, FaultPolicy::from_uri(endpoint));
-  IPA_ASSIGN_OR_RETURN(ConnectionPtr inner, inner_.connect(strip_chaos(endpoint), timeout_s));
+  IPA_ASSIGN_OR_RETURN(ConnectionPtr inner, connect(strip_chaos(endpoint), timeout_s));
   const std::uint64_t ordinal = next_ordinal(endpoint.to_string());
-  return ConnectionPtr(new FaultConnection(std::move(inner), policy, ordinal));
-}
-
-ConnectionPtr wrap_with_faults(ConnectionPtr inner, const FaultPolicy& policy,
-                               std::uint64_t ordinal) {
   return ConnectionPtr(new FaultConnection(std::move(inner), policy, ordinal));
 }
 

@@ -71,30 +71,15 @@ struct FaultPolicy {
   static Result<FaultPolicy> from_uri(const Uri& endpoint);
 };
 
-/// Decorates an inner transport with fault injection; normally reached via
-/// the chaos+ scheme in net::listen / net::connect rather than directly.
-class FaultInjectingTransport final : public Transport {
- public:
-  explicit FaultInjectingTransport(Transport& inner, std::string inner_scheme)
-      : inner_(inner), inner_scheme_(std::move(inner_scheme)) {}
+/// listen() for a chaos+ endpoint: binds the inner endpoint and reports the
+/// chaos endpoint (query kept) so dialers inherit the policy. Accepted
+/// connections carry no faults: each logical link has one schedule, drawn
+/// on the dialing side.
+Result<Listening> listen_chaos(const Uri& endpoint);
 
-  /// Binds the inner endpoint; the returned listener reports the chaos
-  /// endpoint (query preserved) so dialers inherit the policy.
-  Result<ListenerPtr> listen(const Uri& endpoint) override;
-
-  /// Connects the inner endpoint and wraps the connection with the policy
-  /// parsed from `endpoint`'s query.
-  Result<ConnectionPtr> connect(const Uri& endpoint, double timeout_s) override;
-
- private:
-  Transport& inner_;
-  std::string inner_scheme_;
-};
-
-/// Wrap an existing connection directly (tests). `ordinal` selects the
-/// deterministic per-connection fault stream.
-ConnectionPtr wrap_with_faults(ConnectionPtr inner, const FaultPolicy& policy,
-                               std::uint64_t ordinal);
+/// connect() for a chaos+ endpoint: dials the inner endpoint and wraps the
+/// connection with the policy parsed from `endpoint`'s query.
+Result<ConnectionPtr> connect_chaos(const Uri& endpoint, double timeout_s);
 
 /// The first `n` fault decisions a connection with this policy and ordinal
 /// will draw, in operation order. Pure function of (policy.seed, ordinal):

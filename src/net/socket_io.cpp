@@ -7,11 +7,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 
+#include "common/ids.hpp"
 #include "common/strings.hpp"
 
 namespace ipa::net {
@@ -152,21 +155,84 @@ Result<Fd> tcp_listen_fd(const std::string& host, std::uint16_t port, std::uint1
   return fd;
 }
 
-Result<Fd> tcp_accept_fd(int listen_fd, double timeout_s, std::string& peer_desc) {
-  IPA_RETURN_IF_ERROR(wait_ready(listen_fd, POLLIN, timeout_s));
-  sockaddr_in addr{};
-  socklen_t addr_len = sizeof addr;
-  const int client = ::accept(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  if (client < 0) {
-    if (errno == EBADF || errno == EINVAL) return cancelled("socket: listener closed");
-    return errno_status("socket: accept");
+namespace {
+
+struct InprocAddress {
+  sockaddr_un addr{};
+  socklen_t len = 0;
+};
+
+Result<InprocAddress> inproc_address(const std::string& name) {
+  if (name.empty()) return invalid_argument("inproc: empty endpoint name");
+  const std::string path = "ipa/" + std::to_string(::getpid()) + "/" + name;
+  InprocAddress out;
+  out.addr.sun_family = AF_UNIX;
+  // sun_path[0] stays NUL: the abstract namespace, no file on disk.
+  if (1 + path.size() > sizeof out.addr.sun_path) {
+    return invalid_argument("inproc: endpoint name '" + name + "' is too long");
   }
-  char ip[INET_ADDRSTRLEN] = {};
-  ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
-  peer_desc = strings::format("tcp:%s:%u", ip, static_cast<unsigned>(ntohs(addr.sin_port)));
-  const int one = 1;
-  ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return Fd(client);
+  std::memcpy(out.addr.sun_path + 1, path.data(), path.size());
+  out.len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + path.size());
+  return out;
+}
+
+}  // namespace
+
+Result<Fd> inproc_listen_fd(const std::string& name) {
+  IPA_ASSIGN_OR_RETURN(const InprocAddress address, inproc_address(name));
+  Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) return errno_status("inproc: socket");
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&address.addr), address.len) != 0) {
+    if (errno == EADDRINUSE) return already_exists("inproc: endpoint '" + name + "' in use");
+    return errno_status("inproc: bind");
+  }
+  if (::listen(fd.get(), 1024) != 0) return errno_status("inproc: listen");
+  return fd;
+}
+
+Result<Fd> inproc_connect_fd(const std::string& name, double timeout_s) {
+  IPA_ASSIGN_OR_RETURN(const InprocAddress address, inproc_address(name));
+  Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) return errno_status("inproc: socket");
+  // A blocking AF_UNIX connect only waits while the listener's backlog is
+  // full; the send timeout bounds that wait (zero = no bound).
+  timeval wait{};
+  if (timeout_s > 0) {
+    wait.tv_sec = static_cast<time_t>(timeout_s);
+    wait.tv_usec = static_cast<suseconds_t>((timeout_s - static_cast<double>(wait.tv_sec)) * 1e6);
+  }
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &wait, sizeof wait);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address.addr), address.len) != 0) {
+    if (errno == ECONNREFUSED) return unavailable("inproc: no listener at '" + name + "'");
+    return errno_status("inproc: connect");
+  }
+  const timeval unbounded{};
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &unbounded, sizeof unbounded);
+  return fd;
+}
+
+Result<Fd> accept_fd(int listen_fd, const std::string& listen_name, std::string& peer) {
+  for (;;) {
+    sockaddr_storage addr{};
+    socklen_t addr_len = sizeof addr;
+    Fd fd(::accept4(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len,
+                    SOCK_NONBLOCK | SOCK_CLOEXEC));
+    if (!fd.valid()) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return errno_status("socket: accept");
+    }
+    if (addr.ss_family == AF_INET) {
+      const auto& in = reinterpret_cast<const sockaddr_in&>(addr);
+      const int one = 1;
+      ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      char ip[INET_ADDRSTRLEN] = {};
+      ::inet_ntop(AF_INET, &in.sin_addr, ip, sizeof ip);
+      peer = strings::format("tcp:%s:%u", ip, static_cast<unsigned>(ntohs(in.sin_port)));
+    } else {
+      peer = "inproc:" + listen_name + "#" + std::to_string(next_sequence());
+    }
+    return fd;
+  }
 }
 
 }  // namespace ipa::net

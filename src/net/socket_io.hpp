@@ -1,5 +1,5 @@
-// Low-level POSIX socket helpers shared by the framed TCP transport and the
-// byte-stream HTTP layer.
+// Low-level POSIX socket helpers shared by the framed transport, the
+// reactor accept path and the byte-stream HTTP client.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,18 @@ Result<Fd> tcp_connect_fd(const std::string& host, std::uint16_t port, double ti
 /// `bound_port` with the actual port.
 Result<Fd> tcp_listen_fd(const std::string& host, std::uint16_t port, std::uint16_t& bound_port);
 
-/// Accept with timeout; fills `peer_desc` like "tcp:127.0.0.1:38412".
-Result<Fd> tcp_accept_fd(int listen_fd, double timeout_s, std::string& peer_desc);
+/// inproc://name: an AF_UNIX stream socket in the Linux abstract namespace
+/// at "ipa/<pid>/<name>", so each process keeps its own inproc namespace.
+/// The kernel is the endpoint registry: listening on a bound name fails
+/// with kAlreadyExists, dialing a name nobody listens on with kUnavailable.
+/// An empty or over-long name is kInvalidArgument.
+Result<Fd> inproc_listen_fd(const std::string& name);
+Result<Fd> inproc_connect_fd(const std::string& name, double timeout_s);
+
+/// Accept one pending connection as a non-blocking fd; kUnavailable when
+/// none is pending. TCP peers get TCP_NODELAY and are named
+/// "tcp:127.0.0.1:38412"; AF_UNIX peers are named "inproc:<listen_name>#<n>"
+/// with n a process-wide sequence number.
+Result<Fd> accept_fd(int listen_fd, const std::string& listen_name, std::string& peer);
 
 }  // namespace ipa::net

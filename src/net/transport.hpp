@@ -1,14 +1,20 @@
 // Message-oriented transport abstraction.
 //
 // Every client↔service hop in IPA (SOAP calls, binary RPC, the result
-// polling path) moves length-framed byte messages over a Connection. Two
-// interchangeable implementations:
+// polling path) moves length-framed byte messages over a Connection. Both
+// schemes are stream sockets with one wire format (u32 little-endian payload
+// length, then payload), so one socket Connection serves both:
 //
-//   inproc://name      - loopback queues inside one process (tests, the
+//   inproc://name      - an AF_UNIX stream socket in the Linux abstract
+//                        namespace, keyed by pid and name (tests, the
 //                        functional grid built by examples)
-//   tcp://host:port    - real POSIX sockets; gives the examples an actual
-//                        network hop like the paper's JAS client → Globus
-//                        container path
+//   tcp://host:port    - IPv4 sockets; gives the examples an actual network
+//                        hop like the paper's JAS client → Globus container
+//                        path
+//
+// chaos+inproc and chaos+tcp (net/fault.hpp) inject faults on the dialing
+// side. Servers put the listening socket from listen() on their reactor
+// (net/acceptor.hpp), so every scheme is served the same way.
 //
 // Frames are limited to kMaxFrameBytes; a misbehaving peer cannot force an
 // unbounded allocation.
@@ -19,6 +25,7 @@
 
 #include "common/status.hpp"
 #include "common/uri.hpp"
+#include "net/socket_io.hpp"
 #include "serialize/serialize.hpp"
 
 namespace ipa::net {
@@ -50,39 +57,22 @@ class Connection {
 
 using ConnectionPtr = std::unique_ptr<Connection>;
 
-class Listener {
- public:
-  virtual ~Listener() = default;
-
-  /// Accept the next connection; kDeadlineExceeded on timeout (<0 = forever),
-  /// kCancelled once close()d.
-  virtual Result<ConnectionPtr> accept(double timeout_s) = 0;
-
-  virtual void close() = 0;
-
-  /// The bound endpoint; for tcp://host:0 the actual ephemeral port.
-  virtual Uri endpoint() const = 0;
+/// A bound listening socket and the endpoint dialers should use: the
+/// ephemeral port of tcp://host:0 resolved, a chaos+ endpoint re-branded
+/// with its policy query.
+struct Listening {
+  Fd fd;
+  Uri endpoint;
 };
 
-using ListenerPtr = std::unique_ptr<Listener>;
+/// Bind an inproc, tcp, chaos+inproc or chaos+tcp endpoint.
+Result<Listening> listen(const Uri& endpoint);
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-  virtual Result<ListenerPtr> listen(const Uri& endpoint) = 0;
-  virtual Result<ConnectionPtr> connect(const Uri& endpoint, double timeout_s) = 0;
-};
+/// Wait up to `timeout_s` (<0 = forever) for one connection and serve it
+/// from the calling thread. kDeadlineExceeded on timeout.
+Result<ConnectionPtr> accept(const Listening& listening, double timeout_s);
 
-/// Process-global in-process transport; inproc://name endpoints share one
-/// namespace per process.
-Transport& inproc_transport();
-
-/// TCP transport over POSIX sockets (IPv4).
-Transport& tcp_transport();
-
-/// Scheme-dispatching helpers: "inproc" and "tcp" are routed to the
-/// matching transport.
-Result<ListenerPtr> listen(const Uri& endpoint);
+/// Dial an endpoint; chaos+ endpoints come back wrapped with their policy.
 Result<ConnectionPtr> connect(const Uri& endpoint, double timeout_s = 5.0);
 
 }  // namespace ipa::net

@@ -1,16 +1,15 @@
-// Bounded worker pool for server accept loops.
+// Bounded worker pool for server request dispatch.
 //
-// The GT4-style container model ("one worker per client channel") spawned a
-// thread per accepted connection, unbounded — a burst of clients meant a
-// burst of threads, and the thread vector grew for the server's lifetime.
-// This pool replaces that: the accept loop hands connections to a fixed
-// queue, workers are spawned lazily up to a configurable cap, and when the
-// queue is full the connection is rejected and counted instead of silently
-// consuming another thread.
+// Connections live on a server's reactor (net/acceptor.hpp) and cost no
+// thread. What reaches this pool is work: one parsed request (an HTTP
+// request, an RPC call frame) per item. Items enter a bounded queue,
+// workers are spawned lazily up to a configurable cap, and when the queue
+// is full the item is rejected and counted so the server can answer it
+// with an explicit 503 / RESOURCE_EXHAUSTED.
 //
 // Observability: `ipa_server_accept_queue_depth{server=...}` gauges the
 // queued backlog, `ipa_server_overflow_total{server=...}` counts rejected
-// connections, and `ipa_server_queue_delay_seconds{server=...}` is the
+// items, and `ipa_server_queue_delay_seconds{server=...}` is the
 // enqueue->dispatch histogram — time an admitted item sat in the queue
 // before a worker picked it up, the direct measure of pool saturation.
 #pragma once
@@ -29,9 +28,9 @@
 
 namespace ipa::net {
 
-/// Sizing knobs for a server's worker pool. The defaults are generous on
-/// purpose: worker RPC connections are long-lived (one per analysis engine,
-/// heartbeating continuously), so a 16-engine session alone pins 16 workers.
+/// Sizing knobs for a server's worker pool. Items are parsed requests and
+/// nothing holds a worker beyond one handler run, so max_workers bounds
+/// concurrent handler executions, not connections.
 struct ServerPoolOptions {
   std::size_t max_workers = 64;    // concurrent handler executions
   std::size_t queue_capacity = 128;  // parsed requests, not yet picked up
@@ -40,7 +39,7 @@ struct ServerPoolOptions {
   double idle_timeout_s = 0;
 };
 
-/// Outcome of handing an accepted connection to the pool. Saturation and
+/// Outcome of handing a parsed request to the pool. Saturation and
 /// shutdown are distinct so servers can answer a saturated client with an
 /// explicit 503/RESOURCE_EXHAUSTED instead of a silent close.
 enum class Admission {
@@ -49,10 +48,9 @@ enum class Admission {
   kStopped,    // pool shutting down — just close
 };
 
-/// Fixed-capacity worker pool: items (accepted connections) enter a bounded
+/// Fixed-capacity worker pool: items (parsed requests) enter a bounded
 /// queue; workers are spawned on demand up to `max_workers` and live until
-/// stop(). Handlers are expected to watch their server's stopping flag so a
-/// stop() drains promptly.
+/// stop(), which drains what is queued.
 template <typename Item>
 class ServerWorkerPool {
  public:
@@ -65,10 +63,10 @@ class ServerWorkerPool {
         queue_(options_.queue_capacity),
         depth_(obs::Registry::global().gauge(
             "ipa_server_accept_queue_depth", {{"server", server}},
-            "Accepted connections waiting for a server worker, by server kind.")),
+            "Parsed requests waiting for a server worker, by server kind.")),
         overflow_(obs::Registry::global().counter(
             "ipa_server_overflow_total", {{"server", server}},
-            "Connections rejected because the server's accept queue was full.")),
+            "Requests rejected because the server's work queue was full.")),
         queue_delay_(obs::Registry::global().histogram(
             "ipa_server_queue_delay_seconds", {{"server", server}},
             obs::default_latency_bounds(),
@@ -80,9 +78,9 @@ class ServerWorkerPool {
   ServerWorkerPool(const ServerWorkerPool&) = delete;
   ServerWorkerPool& operator=(const ServerWorkerPool&) = delete;
 
-  /// Hand one accepted connection to the pool. The item is consumed only on
-  /// kAdmitted; on kSaturated (overflow counter bumped) and kStopped the
-  /// caller still owns the connection and must answer/close it itself.
+  /// Hand one item to the pool. The item is consumed only on kAdmitted; on
+  /// kSaturated (overflow counter bumped) and kStopped the caller still owns
+  /// it and must answer the request itself.
   Admission submit(Item& item) {
     {
       LockGuard lock(mutex_);
@@ -90,9 +88,8 @@ class ServerWorkerPool {
       // Grow lazily: spawn another worker only when the idle ones are all
       // spoken for by items already queued (an idle worker that has not yet
       // popped an earlier item is not free for this one), and the cap
-      // allows it. Long-lived connections each occupy a worker, so this
-      // reaches max_workers under sustained load but stays small for a test
-      // server handling one client.
+      // allows it. This reaches max_workers under sustained load but stays
+      // small for a test server handling one client.
       if (idle_ <= pending_ && workers_.size() < options_.max_workers) {
         workers_.emplace_back([this] { worker_loop(); });
       }
@@ -117,9 +114,8 @@ class ServerWorkerPool {
   /// (tests, fire-and-forget payloads).
   Admission submit(Item&& item) { return submit(item); }
 
-  /// Close the queue and join every worker. Already-queued connections are
-  /// still handed to handlers (which observe the server's stopping flag and
-  /// exit quickly). Idempotent.
+  /// Close the queue and join every worker. Already-queued items are still
+  /// handed to handlers. Idempotent.
   void stop() {
     std::vector<std::jthread> to_join;
     {

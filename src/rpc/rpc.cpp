@@ -1,19 +1,13 @@
 #include "rpc/rpc.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
-#include "net/socket_io.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -54,8 +48,8 @@ ser::Bytes encode_ok_response(std::uint64_t call_id, const ser::Bytes& payload) 
   return std::move(w).take();
 }
 
-/// Render a frame in the tcp transport's wire form (u32 LE length prefix)
-/// for the reactor's byte-stream write path.
+/// Render a frame in the transport's wire form (u32 LE length prefix) for
+/// the reactor's byte-stream write path.
 std::string frame_wire(const ser::Bytes& frame) {
   std::string out;
   out.reserve(4 + frame.size());
@@ -72,10 +66,12 @@ std::string frame_wire(const ser::Bytes& frame) {
 // far beyond any real polling gap.
 constexpr double kDefaultRpcIdleTimeoutS = 600.0;
 
-obs::Gauge& rpc_open_conns_gauge() {
-  return obs::Registry::global().gauge(
-      "ipa_server_open_connections", {{"server", "rpc"}},
-      "Currently open client connections, idle keep-alive peers included.");
+net::StreamOptions rpc_stream_options(const net::ServerPoolOptions& pool) {
+  net::StreamOptions options;
+  options.idle_timeout_s =
+      pool.idle_timeout_s == 0 ? kDefaultRpcIdleTimeoutS : std::max(pool.idle_timeout_s, 0.0);
+  options.max_input_bytes = net::kMaxFrameBytes + 4;
+  return options;
 }
 
 }  // namespace
@@ -109,24 +105,16 @@ Result<ser::Bytes> Service::dispatch(const CallContext& ctx, const ser::Bytes& p
   return it->second(ctx, payload);
 }
 
-struct RpcServer::MuxConn {
-  std::uint64_t id = 0;
-  std::shared_ptr<net::Stream> stream;
-  std::string peer;
-};
-
 RpcServer::RpcServer(Uri endpoint, net::ServerPoolOptions pool)
     : requested_(std::move(endpoint)),
-      idle_timeout_s_(pool.idle_timeout_s == 0 ? kDefaultRpcIdleTimeoutS
-                                               : std::max(pool.idle_timeout_s, 0.0)),
       reactor_({.name = "rpc"}),
-      pool_("rpc", pool, [this](Work work) {
-        if (work.conn) {
-          serve_connection(std::move(work.conn));
-        } else {
-          dispatch_mux_frame(work.mux, std::move(work.frame));
-        }
-      }) {}
+      acceptor_(reactor_, "rpc", rpc_stream_options(pool),
+                [this] {
+                  return [this](const std::shared_ptr<net::Stream>& stream, std::string& input) {
+                    return on_data(stream, input);
+                  };
+                }),
+      pool_("rpc", pool, [this](Work work) { dispatch(std::move(work)); }) {}
 
 RpcServer::~RpcServer() { stop(); }
 
@@ -136,115 +124,24 @@ void RpcServer::add_service(std::shared_ptr<Service> service) {
 }
 
 Result<Uri> RpcServer::start() {
-  if (requested_.scheme == "tcp") {
-    // Reactor path: one loop thread owns every connection; capacity is
-    // bounded by fds, not pool threads.
-    std::uint16_t bound_port = 0;
-    auto fd = net::tcp_listen_fd(requested_.host, requested_.port, bound_port);
-    IPA_RETURN_IF_ERROR(fd.status());
-    listen_fd_ = std::move(*fd);
-    IPA_RETURN_IF_ERROR(net::set_nonblocking(listen_fd_.get()));
-    IPA_RETURN_IF_ERROR(reactor_.start());
-    auto token = reactor_.add_fd(listen_fd_.get(), EPOLLIN,
-                                 [this](std::uint32_t) { on_accept_ready(); });
-    if (!token.is_ok()) {
-      reactor_.stop();
-      return token.status();
-    }
-    listen_token_ = *token;
-    bound_ = requested_;
-    bound_.port = bound_port;
-    if (bound_.host.empty()) bound_.host = "127.0.0.1";
-  } else {
-    IPA_ASSIGN_OR_RETURN(listener_, net::listen(requested_));
-    bound_ = listener_->endpoint();
-    accept_thread_ = std::jthread([this] { accept_loop(); });
-  }
+  IPA_ASSIGN_OR_RETURN(net::Listening listening, net::listen(requested_));
+  bound_ = listening.endpoint;
+  IPA_RETURN_IF_ERROR(reactor_.start());
+  IPA_RETURN_IF_ERROR(acceptor_.start(std::move(listening)));
   IPA_LOG(debug) << "rpc server listening on " << bound_.to_string();
   return bound_;
 }
 
 void RpcServer::stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_token_ != 0) reactor_.remove_fd(listen_token_);
-  pool_.stop();     // workers see stopping_ and drop their connections
-  reactor_.stop();  // after the pool: late response sends/posts still land
-  listen_fd_.reset();
-  listener_.reset();
-  // Reactor-path survivors never saw on_close; break the stream<->conn
-  // reference cycle and settle the books explicitly.
-  std::map<std::uint64_t, std::shared_ptr<MuxConn>> survivors;
-  {
-    LockGuard lock(conns_mutex_);
-    survivors.swap(conns_);
-  }
-  for (auto& [id, conn] : survivors) {
-    conn->stream.reset();
-    rpc_open_conns_gauge().add(-1);
-    --active_;
-  }
-}
-
-std::size_t RpcServer::active_connections() const { return active_.load(); }
-
-void RpcServer::on_accept_ready() {
-  for (;;) {
-    sockaddr_in addr{};
-    socklen_t addr_len = sizeof addr;
-    const int raw = ::accept4(listen_fd_.get(), reinterpret_cast<sockaddr*>(&addr), &addr_len,
-                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (raw < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN (backlog drained) or a transient accept error
-    }
-    int one = 1;
-    ::setsockopt(raw, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    char ip[INET_ADDRSTRLEN] = {0};
-    ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
-
-    auto conn = std::make_shared<MuxConn>();
-    conn->peer = std::string("tcp:") + ip + ":" + std::to_string(ntohs(addr.sin_port));
-    net::StreamOptions stream_options;
-    stream_options.idle_timeout_s = idle_timeout_s_;
-    stream_options.max_input_bytes = net::kMaxFrameBytes + 4;
-    auto stream = net::Stream::adopt(
-        reactor_, net::Fd(raw), conn->peer, stream_options,
-        [this, conn](std::string& input) { return on_mux_data(conn, input); },
-        [this, conn] {
-          bool erased = false;
-          {
-            LockGuard lock(conns_mutex_);
-            erased = conns_.erase(conn->id) > 0;
-          }
-          if (erased) {
-            rpc_open_conns_gauge().add(-1);
-            --active_;
-          }
-        });
-    if (!stream.is_ok()) continue;  // fd closed by the dropped net::Fd
-    conn->stream = *stream;
-    {
-      LockGuard lock(conns_mutex_);
-      conn->id = ++next_conn_id_;
-      conns_[conn->id] = conn;
-    }
-    ++active_;
-    rpc_open_conns_gauge().add(1);
-    obs::Registry::global()
-        .counter("ipa_server_connections_total", {{"server", "rpc"}},
-                 "Client connections accepted since process start.")
-        .inc();
-  }
+  pool_.stop();       // in-flight calls finish and send their responses
+  reactor_.stop();    // after the pool: late response sends still land
+  acceptor_.stop();
 }
 
 // Incremental u32-length-prefix framing on the loop thread. Complete frames
 // go to the dispatch pool; responses come back through the stream's write
 // queue in completion order — that interleaving is the multiplexing.
-Status RpcServer::on_mux_data(const std::shared_ptr<MuxConn>& conn, std::string& input) {
+Status RpcServer::on_data(const std::shared_ptr<net::Stream>& stream, std::string& input) {
   while (input.size() >= 4) {
     std::uint32_t len = 0;
     for (int i = 0; i < 4; ++i) {
@@ -252,28 +149,27 @@ Status RpcServer::on_mux_data(const std::shared_ptr<MuxConn>& conn, std::string&
     }
     if (len > net::kMaxFrameBytes) return data_loss("rpc: oversized frame announced");
     if (input.size() < 4u + len) break;  // wait for the rest of the frame
-    ser::Bytes frame(reinterpret_cast<const std::uint8_t*>(input.data()) + 4,
-                     reinterpret_cast<const std::uint8_t*>(input.data()) + 4 + len);
+    Work work;
+    work.stream = stream;
+    work.frame.assign(reinterpret_cast<const std::uint8_t*>(input.data()) + 4,
+                      reinterpret_cast<const std::uint8_t*>(input.data()) + 4 + len);
     input.erase(0, 4u + len);
 
-    Work work;
-    work.mux = conn;
-    work.frame = std::move(frame);
     switch (pool_.submit(work)) {
       case net::Admission::kAdmitted:
         break;
       case net::Admission::kSaturated: {
         // Shed this call, keep the connection: the response is tagged with
         // the call id so the other in-flight calls on the stream are
-        // untouched. (Frame-tagged, not call-id-0: the request WAS read, so
-        // blind replay is not safe for non-idempotent methods.)
+        // untouched. The request WAS read, so only idempotent methods may
+        // be replayed blindly.
         ser::Reader r(work.frame);
         const auto type = r.u8();
         const auto id = r.varint();
         if (!type.is_ok() || *type != kRequest || !id.is_ok()) {
           return data_loss("rpc: undecodable frame on saturated dispatch");
         }
-        conn->stream->send(frame_wire(encode_error_response(
+        stream->send(frame_wire(encode_error_response(
             *id, resource_exhausted("rpc: server saturated, retry after backoff"))));
         break;
       }
@@ -284,85 +180,16 @@ Status RpcServer::on_mux_data(const std::shared_ptr<MuxConn>& conn, std::string&
   return Status::ok();
 }
 
-void RpcServer::dispatch_mux_frame(const std::shared_ptr<MuxConn>& conn, ser::Bytes frame) {
-  const ser::Bytes reply = handle_frame(frame, conn->peer);
+void RpcServer::dispatch(Work work) {
+  const ser::Bytes reply = handle_frame(work.frame, work.stream->peer());
   // An undecodable frame means the stream's integrity is gone (e.g. a
   // truncated request): drop the connection instead of answering, so the
   // client classifies it as a transport failure.
   if (reply.empty()) {
-    conn->stream->close();
+    work.stream->close();
     return;
   }
-  conn->stream->send(frame_wire(reply));
-}
-
-void RpcServer::accept_loop() {
-  while (!stopping_.load()) {
-    auto conn = listener_->accept(0.25);
-    if (!conn.is_ok()) {
-      if (conn.status().code() == StatusCode::kDeadlineExceeded) continue;
-      break;  // listener closed
-    }
-    // A full accept queue sheds the connection instead of spawning threads
-    // without bound — but answers first: a call_id-0 RESOURCE_EXHAUSTED
-    // frame tells the client no request was processed (safe to retry with
-    // backoff, even for non-idempotent methods), where a silent close would
-    // read as an ambiguous transport fault.
-    Work accepted;
-    accepted.conn = std::move(conn).value();
-    switch (pool_.submit(accepted)) {
-      case net::Admission::kAdmitted:
-        break;
-      case net::Admission::kSaturated:
-        // submit() only moves from its argument on admission, so the
-        // connection is still ours to answer on the saturated path.
-        if (accepted.conn) {
-          (void)accepted.conn->send(encode_error_response(
-              0, resource_exhausted("rpc: server saturated, retry after backoff")));
-          accepted.conn->close();
-        }
-        break;
-      case net::Admission::kStopped:
-        if (accepted.conn) accepted.conn->close();
-        break;
-    }
-  }
-}
-
-void RpcServer::serve_connection(net::ConnectionPtr conn) {
-  if (!conn) return;
-  ++active_;
-  rpc_open_conns_gauge().add(1);
-  double last_activity = WallClock::instance().now();
-  while (!stopping_.load()) {
-    auto frame = conn->receive(0.25);
-    if (!frame.is_ok()) {
-      if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-        // Same idle reap as the reactor path: a silent peer (half-open
-        // socket, crashed engine) frees its reader thread on schedule.
-        if (idle_timeout_s_ > 0 &&
-            WallClock::instance().now() - last_activity > idle_timeout_s_) {
-          obs::Registry::global()
-              .counter("ipa_server_idle_reaped_total", {{"server", "rpc"}},
-                       "Connections closed by the idle-timeout reaper.")
-              .inc();
-          break;
-        }
-        continue;
-      }
-      break;  // closed or broken
-    }
-    last_activity = WallClock::instance().now();
-    const ser::Bytes reply = handle_frame(*frame, conn->peer());
-    // An undecodable frame means the stream's integrity is gone (e.g. a
-    // truncated request): drop the connection instead of answering, so the
-    // client classifies it as a transport failure and retries elsewhere.
-    if (reply.empty()) break;
-    if (!conn->send(reply).is_ok()) break;
-  }
-  conn->close();
-  rpc_open_conns_gauge().add(-1);
-  --active_;
+  work.stream->send(frame_wire(reply));
 }
 
 ser::Bytes RpcServer::handle_frame(const ser::Bytes& frame, const std::string& peer) {
@@ -424,7 +251,18 @@ ser::Bytes RpcServer::handle_frame(const ser::Bytes& frame, const std::string& p
     ctx.principal = std::move(*principal);
   }
 
-  auto result = service->dispatch(ctx, *payload);
+  // A throwing method fails its own call, not the site: the caller gets
+  // INTERNAL with the exception text and the connection stays up.
+  auto result = [&]() -> Result<ser::Bytes> {
+    try {
+      return service->dispatch(ctx, *payload);
+    } catch (const std::exception& e) {
+      const std::string name = ctx.service + "." + ctx.method;
+      obs::flight(obs::FlightKind::kError, "rpc.method_threw", name);
+      IPA_LOG(error) << "rpc: " << name << " threw: " << e.what();
+      return internal_error("rpc: " + name + " threw: " + e.what());
+    }
+  }();
   if (!result.is_ok()) {
     dispatch_span.set_status(result.status());
     return encode_error_response(call_id, result.status());
@@ -516,39 +354,6 @@ void RpcClient::demux_frame_locked(std::uint64_t gen, const ser::Bytes& frame) {
     kill_connection_locked(gen, data_loss("rpc: unreadable response id"));
     return;
   }
-  if (*reply_id == 0) {
-    // Connection-level saturation rejection (call ids start at 1, so 0
-    // names no call): the server shed this connection before reading any
-    // request. Every pending call is flagged rejected so even
-    // non-idempotent ones may replay — nothing was read server-side.
-    obs::Registry::global()
-        .counter("ipa_rpc_rejected_total", {},
-                 "Connection-level saturation rejections received by clients.")
-        .inc();
-    std::string message = "rpc: connection rejected";
-    const auto rej_ok = r.u8();  // rejection frames always carry ok=0
-    const auto rej_code = r.u8();
-    const auto rej_message = r.string();
-    if (rej_ok.is_ok() && rej_code.is_ok() && rej_message.is_ok()) message = *rej_message;
-    const Status status(StatusCode::kResourceExhausted, message);
-    for (auto& [id, slot] : pending_) {
-      slot->done = true;
-      slot->transport = true;
-      slot->rejected = true;
-      slot->status = status;
-    }
-    pending_.clear();
-    // Mark-then-drop rather than kill_connection_locked: the kill helper
-    // would overwrite the rejected flags the retry gate depends on.
-    if (gen == conn_gen_) {
-      ++conn_gen_;
-      if (conn_) conn_->close();
-      conn_.reset();
-    }
-    call_cv_->notify_all();
-    return;
-  }
-
   const auto it = pending_.find(*reply_id);
   if (it == pending_.end()) return;  // stale reply from an abandoned attempt
   PendingCall* slot = it->second;
@@ -746,10 +551,9 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
       last_error = slot.status;
       attempt_span.set_status(slot.status);
 
-      if (!idempotent && !slot.rejected) {
+      if (!idempotent) {
         // Fail fast: the request may have reached the server, so replaying
-        // it is not safe. The next call will reconnect lazily. (A saturation
-        // rejection is exempt — the server read nothing, so replay is safe.)
+        // it is not safe. The next call will reconnect lazily.
         if (last_error.code() == StatusCode::kDeadlineExceeded) return fail(last_error);
         return fail(unavailable("rpc: " + std::string(service) + "." +
                                 std::string(method) +

@@ -15,18 +15,17 @@
 // stateful instances (the paper's "Web Service resources").
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
+#include "net/acceptor.hpp"
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "net/worker_pool.hpp"
@@ -90,18 +89,16 @@ class Service {
 /// or an error. Installed once per server.
 using AuthFn = std::function<Result<std::string>(const std::string& token)>;
 
-/// Event-driven RPC server with connection multiplexing. On `tcp://`
-/// endpoints an epoll reactor thread owns every connection: it decodes the
-/// u32-length-prefixed frames incrementally, feeds each complete request to
-/// the bounded worker pool, and interleaves frame-tagged responses back
-/// onto the shared stream out of order — many logical calls in flight per
-/// connection, with idle peers reaped after `pool.idle_timeout_s`. Other
-/// transports (inproc, chaos+*) keep a blocking reader per connection
-/// (bounded by `pool.max_workers`) with the same idle reap. Dispatch
-/// saturation answers the offending call with a frame-tagged
-/// RESOURCE_EXHAUSTED (counted on `ipa_server_overflow_total{server="rpc"}`);
-/// accept-queue saturation on the reader path keeps the byte-compatible
-/// call-id-0 rejection frame meaning "nothing was read, safe to retry".
+/// Event-driven RPC server with connection multiplexing, the same for every
+/// scheme (inproc, tcp, chaos+*): an epoll reactor thread owns every
+/// connection, decodes the u32-length-prefixed frames incrementally, feeds
+/// each complete request to the bounded worker pool, and interleaves
+/// frame-tagged responses back onto the shared stream out of order — many
+/// logical calls in flight per connection, no thread held by any of them,
+/// and idle peers reaped after `pool.idle_timeout_s`. Dispatch saturation
+/// answers the offending call with a frame-tagged RESOURCE_EXHAUSTED
+/// (counted on `ipa_server_overflow_total{server="rpc"}`). A method that
+/// throws answers its call with INTERNAL; the connection stays up.
 class RpcServer {
  public:
   explicit RpcServer(Uri endpoint, net::ServerPoolOptions pool = {});
@@ -119,47 +116,34 @@ class RpcServer {
   void stop();
 
   Uri endpoint() const { return bound_; }
-  std::size_t active_connections() const;
+  std::size_t active_connections() const { return acceptor_.open_connections(); }
+  /// Dispatch workers spawned so far (at most `pool.max_workers`).
+  std::size_t worker_count() const { return pool_.worker_count(); }
 
  private:
-  /// Reactor-path connection state (tcp endpoints).
-  struct MuxConn;
-  /// One unit of pool work: a whole connection to read (blocking reader
-  /// path) or a single decoded frame to dispatch (reactor path).
+  /// One unit of pool work: a decoded request frame and the stream to
+  /// answer on.
   struct Work {
-    net::ConnectionPtr conn;
-    std::shared_ptr<MuxConn> mux;
+    std::shared_ptr<net::Stream> stream;
     ser::Bytes frame;
   };
 
-  void accept_loop();
-  void serve_connection(net::ConnectionPtr conn);
-  void on_accept_ready();  // loop thread
-  Status on_mux_data(const std::shared_ptr<MuxConn>& conn,
-                     std::string& input);  // loop thread
-  void dispatch_mux_frame(const std::shared_ptr<MuxConn>& conn, ser::Bytes frame);
+  Status on_data(const std::shared_ptr<net::Stream>& stream,
+                 std::string& input);  // loop thread
+  void dispatch(Work work);             // pool worker
   /// Decode + dispatch one request frame. An empty result means the frame
   /// was undecodable and the connection must be dropped.
   ser::Bytes handle_frame(const ser::Bytes& frame, const std::string& peer);
 
   Uri requested_;
   Uri bound_;
-  double idle_timeout_s_ = 0;
-  net::ListenerPtr listener_;    // reader path (non-tcp transports)
-  net::Fd listen_fd_;            // reactor path (tcp)
-  std::uint64_t listen_token_ = 0;
   net::Reactor reactor_;
+  net::Acceptor acceptor_;
   AuthFn auth_;
   mutable Mutex mutex_{LockRank::kServer, "rpc-services"};
   std::map<std::string, std::shared_ptr<Service>, std::less<>> services_
       IPA_GUARDED_BY(mutex_);
   net::ServerWorkerPool<Work> pool_;
-  std::jthread accept_thread_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> active_{0};
-  mutable Mutex conns_mutex_{LockRank::kServer, "rpc-conns"};
-  std::uint64_t next_conn_id_ IPA_GUARDED_BY(conns_mutex_) = 0;
-  std::map<std::uint64_t, std::shared_ptr<MuxConn>> conns_ IPA_GUARDED_BY(conns_mutex_);
 };
 
 /// Client-side retry behaviour. Retries apply only to methods declared
@@ -235,7 +219,6 @@ class RpcClient {
   struct PendingCall {
     bool done = false;
     bool transport = false;  // failure came from the link, not the method
-    bool rejected = false;   // call-id-0 connection-level rejection
     Status status = Status::ok();
     ser::Bytes body;
   };

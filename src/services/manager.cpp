@@ -175,7 +175,7 @@ Status ManagerNode::initialize() {
   IPA_RETURN_IF_ERROR(soap_->start().status());
 
   if (config_.monitor_interval_s > 0) {
-    monitor_ = std::jthread([this](std::stop_token stop) { monitor_loop(stop); });
+    monitor_ = std::jthread([this] { monitor_loop(); });
   }
   IPA_LOG(info) << "IPA manager up: soap=" << soap_->endpoint().to_string()
                 << " rpc=" << rpc_bound_.to_string();
@@ -185,7 +185,11 @@ Status ManagerNode::initialize() {
 void ManagerNode::stop() {
   // The monitor goes first: a restart in flight must not race the session
   // teardown below.
-  monitor_.request_stop();
+  {
+    LockGuard lock(monitor_mutex_);
+    monitor_stopping_ = true;
+  }
+  monitor_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
   // Close all sessions first so worker hosts disconnect before servers die.
   for (const std::string& id : sessions_.ids()) {
@@ -235,16 +239,17 @@ Status ManagerNode::kill_engine(const std::string& session_id,
 // Dead-engine detection and recovery
 // ---------------------------------------------------------------------------
 
-void ManagerNode::monitor_loop(std::stop_token stop) {
-  const auto slice = std::chrono::milliseconds(5);
-  while (!stop.stop_requested()) {
-    const auto wake = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(config_.monitor_interval_s));
-    while (!stop.stop_requested() && std::chrono::steady_clock::now() < wake) {
-      std::this_thread::sleep_for(slice);
+void ManagerNode::monitor_loop() {
+  const auto interval = std::chrono::duration<double>(config_.monitor_interval_s);
+  for (;;) {
+    {
+      UniqueLock lock(monitor_mutex_);
+      if (monitor_cv_.wait_for(lock, interval, [this]() IPA_REQUIRES(monitor_mutex_) {
+            return monitor_stopping_;
+          })) {
+        return;
+      }
     }
-    if (stop.stop_requested()) return;
     for (const std::string& session_id : sessions_.ids()) {
       auto session = sessions_.find(session_id);
       if (!session.is_ok()) continue;

@@ -89,9 +89,10 @@ struct ManagerConfig {
   /// Clock for phase timing and engine liveness (null = WallClock). Tests
   /// inject a ManualClock; must outlive the manager.
   const Clock* clock = nullptr;
-  /// Worker-pool bounds for the SOAP/HTTP server and the RPC server.
-  /// Engine RPC connections are long-lived (one per engine, heartbeating),
-  /// so rpc_pool.max_workers caps the site's concurrent engine count.
+  /// Worker-pool bounds for the SOAP/HTTP server and the RPC server. Both
+  /// bound concurrent handler executions only: open connections (one per
+  /// engine, heartbeating) live on the servers' reactors and hold no
+  /// worker, so neither pool caps the site's engine count.
   net::ServerPoolOptions soap_pool;
   net::ServerPoolOptions rpc_pool;
   /// Default cap on spans returned by GET /status?session=... (override per
@@ -146,7 +147,7 @@ class ManagerNode {
   /// Close out the "run" phase if this terminal engine report was the last
   /// one outstanding (called from the AidaManager push handler).
   void maybe_complete_run(const std::string& session_id);
-  void monitor_loop(std::stop_token stop);
+  void monitor_loop();
   void handle_dead_engine(const std::shared_ptr<Session>& session,
                           const std::string& engine_id);
   Status restart_engine(const std::shared_ptr<Session>& session,
@@ -183,6 +184,11 @@ class ManagerNode {
   // Guards compute_ only (swappable via set_compute_element); sessions_ has
   // its own internal lock.
   mutable Mutex mutex_{LockRank::kManager, "manager-compute"};
+  // The monitor sleeps on monitor_cv_ between scans; stop() sets the flag
+  // and wakes it.
+  Mutex monitor_mutex_{LockRank::kStopFlag, "monitor-stop"};
+  CondVar monitor_cv_;
+  bool monitor_stopping_ IPA_GUARDED_BY(monitor_mutex_) = false;
   std::jthread monitor_;
 };
 

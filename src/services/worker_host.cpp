@@ -29,23 +29,22 @@ Result<std::unique_ptr<WorkerHost>> WorkerHost::start(const std::string& session
 
   if (heartbeat_interval_s > 0) {
     host->heartbeat_ = std::jthread(
-        [raw = host.get(), heartbeat_interval_s](std::stop_token stop) {
-          raw->heartbeat_loop(stop, heartbeat_interval_s);
-        });
+        [raw = host.get(), heartbeat_interval_s] { raw->heartbeat_loop(heartbeat_interval_s); });
   }
   return host;
 }
 
-void WorkerHost::heartbeat_loop(std::stop_token stop, double interval_s) {
-  const auto slice = std::chrono::milliseconds(5);
-  auto next = std::chrono::steady_clock::now();
-  while (!stop.stop_requested()) {
-    next += std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(interval_s));
-    while (!stop.stop_requested() && std::chrono::steady_clock::now() < next) {
-      std::this_thread::sleep_for(slice);
+void WorkerHost::heartbeat_loop(double interval_s) {
+  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(interval_s));
+  for (auto next = std::chrono::steady_clock::now() + period;; next += period) {
+    {
+      UniqueLock lock(stop_mutex_);
+      if (stop_cv_.wait_for(lock, next - std::chrono::steady_clock::now(),
+                            [this]() IPA_REQUIRES(stop_mutex_) { return stopping_; })) {
+        return;
+      }
     }
-    if (stop.stop_requested()) return;
     const auto ack = rpc_->call(kWorkerRegistryService, "heartbeat",
                                 encode_ready(session_id_, engine_id_), "",
                                 /*timeout_s=*/1.0);
@@ -71,7 +70,11 @@ WorkerHost::WorkerHost(std::string session_id, std::string engine_id, rpc::RpcCl
 WorkerHost::~WorkerHost() {
   // Heartbeats stop first, then the snapshot handler, so nothing touches
   // the RPC client while it is being closed.
-  heartbeat_.request_stop();
+  {
+    LockGuard lock(stop_mutex_);
+    stopping_ = true;
+  }
+  stop_cv_.notify_all();
   if (heartbeat_.joinable()) heartbeat_.join();
   engine_->set_snapshot_handler(nullptr);
   engine_.reset();

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/status.hpp"
+#include "common/sync.hpp"
 #include "common/uri.hpp"
 #include "engine/engine.hpp"
 #include "rpc/rpc.hpp"
@@ -59,12 +60,17 @@ class WorkerHost final : public EngineHandle {
              engine::EngineConfig config);
 
   void push_snapshot(const ser::Bytes& snapshot, const engine::Progress& progress);
-  void heartbeat_loop(std::stop_token stop, double interval_s);
+  void heartbeat_loop(double interval_s);
 
   std::string session_id_;
   std::string engine_id_;
   std::unique_ptr<rpc::RpcClient> rpc_;
   std::unique_ptr<engine::AnalysisEngine> engine_;
+  // The heartbeat sleeps on stop_cv_ between beats; the destructor sets the
+  // flag and wakes it.
+  Mutex stop_mutex_{LockRank::kStopFlag, "heartbeat-stop"};
+  CondVar stop_cv_;
+  bool stopping_ IPA_GUARDED_BY(stop_mutex_) = false;
   std::jthread heartbeat_;  // last member: joins before the rest tears down
 };
 

@@ -183,6 +183,19 @@ TEST(Tuple, SerializeRoundTrip) {
   EXPECT_EQ(*back, tuple);
 }
 
+TEST(Tuple, ZeroColumnTupleTakesNoRows) {
+  Tuple tuple("empty", {});
+  EXPECT_EQ(tuple.fill({}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(tuple.rows(), 0u);
+  // The shape fill() allows still round-trips.
+  ser::Writer w;
+  tuple.encode(w);
+  ser::Reader r(w.data());
+  auto back = Tuple::decode(r);
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(*back, tuple);
+}
+
 // --- Tree -------------------------------------------------------------------
 
 Tree make_engine_tree(std::uint64_t seed, int fills) {

@@ -1,9 +1,9 @@
 // Degenerate-peer chaos: slow-loris header drippers and half-open sockets
-// (a peer that vanished without FIN). Neither costs the event-driven servers
-// a thread, and both must be reaped by the reactor's idle timeout while
-// healthy traffic keeps flowing. The client side is exercised through the
-// fault transport's sticky half-open mode: calls must heal by re-dialing,
-// never wedge.
+// (a peer that vanished without FIN), over TCP and inproc alike. Neither
+// costs the event-driven servers a thread, and both must be reaped by the
+// reactor's idle timeout while healthy traffic keeps flowing. The client
+// side is exercised through the fault transport's sticky half-open mode:
+// calls must heal by re-dialing, never wedge.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,6 +19,7 @@
 
 #include "http/http.hpp"
 #include "net/fault.hpp"
+#include "net/socket_io.hpp"
 #include "net/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
@@ -138,17 +139,20 @@ TEST(ChaosReaper, SlowLorisHeaderDripperIsReaped) {
   server.stop();
 }
 
-TEST(ChaosReaper, HalfOpenRpcSocketIsReaped) {
+/// Dial the server's socket directly, bypassing the framed transport.
+net::Fd dial_raw(const Uri& bound) {
+  if (bound.scheme == "tcp") return net::Fd(raw_connect(bound));
+  auto fd = net::inproc_connect_fd(bound.host, 5.0);
+  return fd.is_ok() ? std::move(*fd) : net::Fd();
+}
+
+void expect_half_open_rpc_socket_reaped(const Uri& endpoint) {
   auto& reaped = obs::Registry::global().counter("ipa_reactor_idle_reaped_total",
                                                  {{"reactor", "rpc"}});
   const auto reaped_before = reaped.value();
 
   net::ServerPoolOptions pool;
   pool.idle_timeout_s = 0.3;
-  Uri endpoint;
-  endpoint.scheme = "tcp";
-  endpoint.host = "127.0.0.1";
-  endpoint.port = 0;
   rpc::RpcServer server(endpoint, pool);
   server.add_service(make_echo_service());
   auto bound = server.start();
@@ -157,9 +161,9 @@ TEST(ChaosReaper, HalfOpenRpcSocketIsReaped) {
   // A peer that connects, sends half a length prefix and then vanishes
   // without FIN: from the server's side the socket simply never speaks
   // again. Only the idle reaper can reclaim it.
-  const int ghost = raw_connect(*bound);
-  ASSERT_GE(ghost, 0);
-  ASSERT_EQ(::send(ghost, "\x08\x00", 2, MSG_NOSIGNAL), 2);
+  const net::Fd ghost = dial_raw(*bound);
+  ASSERT_TRUE(ghost.valid());
+  ASSERT_EQ(::send(ghost.get(), "\x08\x00", 2, MSG_NOSIGNAL), 2);
   ASSERT_TRUE(wait_until([&] { return server.active_connections() == 1; }));
 
   ASSERT_TRUE(wait_until([&] { return server.active_connections() == 0; }))
@@ -170,8 +174,19 @@ TEST(ChaosReaper, HalfOpenRpcSocketIsReaped) {
   ASSERT_TRUE(client.is_ok());
   auto reply = client->call("Reaper", "echo", payload_of("alive"), "", 5.0);
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  ::close(ghost);
   server.stop();
+}
+
+TEST(ChaosReaper, HalfOpenRpcSocketIsReaped) {
+  Uri endpoint;
+  endpoint.scheme = "tcp";
+  endpoint.host = "127.0.0.1";
+  endpoint.port = 0;
+  expect_half_open_rpc_socket_reaped(endpoint);
+}
+
+TEST(ChaosReaper, HalfOpenRpcSocketIsReapedOverChaosInproc) {
+  expect_half_open_rpc_socket_reaped(chaos_endpoint("ghost", {}));
 }
 
 TEST(ChaosReaper, RpcClientHealsFromHalfOpenLink) {

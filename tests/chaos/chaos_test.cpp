@@ -41,6 +41,17 @@ Uri chaos_endpoint(const std::string& tag, std::map<std::string, std::string> qu
   return uri;
 }
 
+/// Chaos over a fresh ephemeral TCP port; the bound port keeps the dial
+/// ordinals per server.
+Uri chaos_tcp_endpoint(std::map<std::string, std::string> query) {
+  Uri uri;
+  uri.scheme = "chaos+tcp";
+  uri.host = "127.0.0.1";
+  uri.port = 0;
+  uri.query = std::move(query);
+  return uri;
+}
+
 ser::Bytes payload_of(std::string_view s) { return ser::Bytes(s.begin(), s.end()); }
 
 /// One idempotent echo method; `count` observes server-side executions.
@@ -132,8 +143,11 @@ TEST(ChaosRpc, DroppedFramesAreRetriedToSuccess) {
   server.stop();
 }
 
-TEST(ChaosRpc, TruncatedFramesAreDetectedAndRetried) {
-  rpc::RpcServer server(chaos_endpoint("trunc", {{"seed", "5"}, {"truncate", "0.08"}}));
+// Truncation and disconnects both end at the server's reactor, whatever
+// the inner scheme; each scenario runs over chaos+inproc and chaos+tcp.
+
+void expect_truncated_frames_retried(const Uri& endpoint) {
+  rpc::RpcServer server(endpoint);
   server.add_service(make_echo_service());
   ASSERT_TRUE(server.start().is_ok());
 
@@ -148,9 +162,17 @@ TEST(ChaosRpc, TruncatedFramesAreDetectedAndRetried) {
   server.stop();
 }
 
-TEST(ChaosRpc, DisconnectEveryFewFramesForcesReconnects) {
-  rpc::RpcServer server(
-      chaos_endpoint("cut", {{"seed", "3"}, {"disconnect_after", "5"}}));
+TEST(ChaosRpc, TruncatedFramesAreDetectedAndRetried) {
+  expect_truncated_frames_retried(
+      chaos_endpoint("trunc", {{"seed", "5"}, {"truncate", "0.08"}}));
+}
+
+TEST(ChaosRpc, TruncatedFramesAreDetectedAndRetriedOverTcp) {
+  expect_truncated_frames_retried(chaos_tcp_endpoint({{"seed", "5"}, {"truncate", "0.08"}}));
+}
+
+void expect_disconnects_force_reconnects(const Uri& endpoint) {
+  rpc::RpcServer server(endpoint);
   server.add_service(make_echo_service());
   ASSERT_TRUE(server.start().is_ok());
 
@@ -164,6 +186,16 @@ TEST(ChaosRpc, DisconnectEveryFewFramesForcesReconnects) {
   EXPECT_GE(client->stats().reconnects, 3u);
   EXPECT_GE(client->stats().retries, 3u);
   server.stop();
+}
+
+TEST(ChaosRpc, DisconnectEveryFewFramesForcesReconnects) {
+  expect_disconnects_force_reconnects(
+      chaos_endpoint("cut", {{"seed", "3"}, {"disconnect_after", "5"}}));
+}
+
+TEST(ChaosRpc, DisconnectEveryFewFramesForcesReconnectsOverTcp) {
+  expect_disconnects_force_reconnects(
+      chaos_tcp_endpoint({{"seed", "3"}, {"disconnect_after", "5"}}));
 }
 
 TEST(ChaosRpc, FirstConnectionsDyingStillConverges) {

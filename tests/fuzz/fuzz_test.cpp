@@ -124,6 +124,15 @@ TEST(Fuzz, PollResponseWithHugeVectorCountIsRejected) {
   EXPECT_EQ(response.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(Fuzz, ZeroColumnTupleWithHugeRowCountIsRejected) {
+  // Empty title, no columns, no annotations, then 2^30 rows: each empty row
+  // costs no input byte but a vector, so 8 bytes once asked for ~24 GB.
+  const ser::Bytes junk = {0x00, 0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x04};
+  ser::Reader reader(junk);
+  auto tuple = aida::Tuple::decode(reader);
+  EXPECT_EQ(tuple.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(Fuzz, XmlParserSurvivesRandomMarkup) {
   Rng rng(113);
   for (int trial = 0; trial < 2000; ++trial) {

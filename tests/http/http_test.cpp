@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace ipa::http {
 namespace {
 
@@ -159,6 +161,28 @@ TEST(HttpServer, KeepAliveReusesConnection) {
     EXPECT_EQ(resp->status, 200);
   }
   EXPECT_EQ(server.requests_served(), 20u);
+  server.stop();
+}
+
+TEST(HttpServer, ThrowingHandlerAnswers500AndKeepsServing) {
+  Server server("127.0.0.1", 0);
+  server.route("/boom", [](const Request&) -> Response {
+    throw std::runtime_error("render failed");
+  });
+  server.route("/ok", [](const Request&) { return Response::make(200, "fine"); });
+  auto bound = server.start();
+  ASSERT_TRUE(bound.is_ok());
+
+  auto client = Client::connect(bound->host, bound->port);
+  ASSERT_TRUE(client.is_ok());
+  auto boom = client->get("/boom");
+  ASSERT_TRUE(boom.is_ok()) << boom.status().to_string();
+  EXPECT_EQ(boom->status, 500);
+  EXPECT_NE(boom->body.find("render failed"), std::string::npos);
+  // Same keep-alive connection, next request.
+  auto ok = client->get("/ok");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok->status, 200);
   server.stop();
 }
 

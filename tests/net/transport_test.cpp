@@ -39,14 +39,14 @@ TEST_P(TransportTest, EchoRoundTrip) {
   ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
 
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     auto frame = (*conn)->receive(5.0);
     ASSERT_TRUE(frame.is_ok());
     ASSERT_TRUE((*conn)->send(*frame).is_ok());
   });
 
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
   ASSERT_TRUE((*client)->send(bytes_of("ping")).is_ok());
   auto echoed = (*client)->receive(5.0);
@@ -60,7 +60,7 @@ TEST_P(TransportTest, ManySequentialFramesPreserveOrderAndContent) {
 
   constexpr int kFrames = 200;
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     for (int i = 0; i < kFrames; ++i) {
       auto frame = (*conn)->receive(5.0);
@@ -70,7 +70,7 @@ TEST_P(TransportTest, ManySequentialFramesPreserveOrderAndContent) {
     ASSERT_TRUE((*conn)->send(bytes_of("done")).is_ok());
   });
 
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   for (int i = 0; i < kFrames; ++i) {
     ASSERT_TRUE((*client)->send(bytes_of("msg-" + std::to_string(i))).is_ok());
@@ -86,14 +86,14 @@ TEST_P(TransportTest, LargeFrameRoundTrip) {
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31);
 
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     auto frame = (*conn)->receive(10.0);
     ASSERT_TRUE(frame.is_ok());
     ASSERT_TRUE((*conn)->send(*frame).is_ok());
   });
 
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   ASSERT_TRUE((*client)->send(big).is_ok());
   auto echoed = (*client)->receive(10.0);
@@ -105,14 +105,14 @@ TEST_P(TransportTest, EmptyFrameIsValid) {
   auto listener = listen(make_endpoint());
   ASSERT_TRUE(listener.is_ok());
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     auto frame = (*conn)->receive(5.0);
     ASSERT_TRUE(frame.is_ok());
     EXPECT_TRUE(frame->empty());
     ASSERT_TRUE((*conn)->send({}).is_ok());
   });
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   ASSERT_TRUE((*client)->send({}).is_ok());
   EXPECT_TRUE((*client)->receive(5.0).value().empty());
@@ -122,14 +122,14 @@ TEST_P(TransportTest, ReceiveTimesOut) {
   auto listener = listen(make_endpoint());
   ASSERT_TRUE(listener.is_ok());
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     // Keep the connection open (sending nothing) past the client's timeout.
     // ipa-lint: allow(sleep-sync) -- the silent window is the behavior under test: the server stays
     // open past the client's receive deadline.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
   });
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   const auto result = (*client)->receive(0.05);
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -138,7 +138,7 @@ TEST_P(TransportTest, ReceiveTimesOut) {
 TEST_P(TransportTest, AcceptTimesOut) {
   auto listener = listen(make_endpoint());
   ASSERT_TRUE(listener.is_ok());
-  const auto result = (*listener)->accept(0.05);
+  const auto result = accept(*listener, 0.05);
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -147,12 +147,12 @@ TEST_P(TransportTest, PeerCloseUnblocksReceive) {
   ASSERT_TRUE(listener.is_ok());
 
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     (*conn)->close();
   });
 
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   const auto result = (*client)->receive(5.0);
   EXPECT_FALSE(result.is_ok());
@@ -167,7 +167,7 @@ TEST_P(TransportTest, ConcurrentConnections) {
   std::vector<std::jthread> echoers;
   std::jthread server([&] {
     for (int i = 0; i < kClients; ++i) {
-      auto conn = (*listener)->accept(5.0);
+      auto conn = accept(*listener, 5.0);
       ASSERT_TRUE(conn.is_ok());
       echoers.emplace_back([c = std::shared_ptr<Connection>(conn->release())] {
         auto frame = c->receive(5.0);
@@ -180,7 +180,7 @@ TEST_P(TransportTest, ConcurrentConnections) {
   std::atomic<int> ok_count{0};
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      auto client = connect((*listener)->endpoint());
+      auto client = connect(listener->endpoint);
       if (!client.is_ok()) return;
       const ser::Bytes msg = bytes_of("client-" + std::to_string(i));
       if (!(*client)->send(msg).is_ok()) return;
@@ -197,7 +197,7 @@ TEST_P(TransportTest, FrameAtMaxSizeIsDelivered) {
   ASSERT_TRUE(listener.is_ok());
 
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     auto frame = (*conn)->receive(30.0);
     ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
@@ -210,7 +210,7 @@ TEST_P(TransportTest, FrameAtMaxSizeIsDelivered) {
   ser::Bytes frame(kMaxFrameBytes, 0);
   frame.front() = 0xAB;
   frame.back() = 0xCD;
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   ASSERT_TRUE((*client)->send(frame).is_ok());
   EXPECT_EQ((*client)->receive(30.0).value(), bytes_of("got it"));
@@ -219,7 +219,7 @@ TEST_P(TransportTest, FrameAtMaxSizeIsDelivered) {
 TEST_P(TransportTest, OversizedFrameIsRejectedAtSend) {
   auto listener = listen(make_endpoint());
   ASSERT_TRUE(listener.is_ok());
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   const ser::Bytes frame(kMaxFrameBytes + 1, 0);
   EXPECT_EQ((*client)->send(frame).code(), StatusCode::kInvalidArgument);
@@ -229,7 +229,7 @@ TEST_P(TransportTest, SelfCloseWakesBlockedReceive) {
   auto listener = listen(make_endpoint());
   ASSERT_TRUE(listener.is_ok());
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     // Keep the server end open and silent; only the client's own close may
     // end its blocked receive.
@@ -237,7 +237,7 @@ TEST_P(TransportTest, SelfCloseWakesBlockedReceive) {
     // may end its blocked receive.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
   });
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   std::shared_ptr<Connection> conn(client->release());
 
@@ -261,7 +261,7 @@ TEST_P(TransportTest, ConcurrentSendAndReceiveAreFullDuplex) {
 
   constexpr int kFrames = 100;
   std::jthread server([&] {
-    auto conn = (*listener)->accept(5.0);
+    auto conn = accept(*listener, 5.0);
     ASSERT_TRUE(conn.is_ok());
     std::shared_ptr<Connection> c(conn->release());
     std::jthread tx([c] {
@@ -276,7 +276,7 @@ TEST_P(TransportTest, ConcurrentSendAndReceiveAreFullDuplex) {
     }
   });
 
-  auto client = connect((*listener)->endpoint());
+  auto client = connect(listener->endpoint);
   ASSERT_TRUE(client.is_ok());
   std::shared_ptr<Connection> c(client->release());
   std::jthread tx([c] {
@@ -313,10 +313,18 @@ TEST(InProc, DuplicateListenRejected) {
   auto first = listen(uri);
   ASSERT_TRUE(first.is_ok());
   EXPECT_EQ(listen(uri).status().code(), StatusCode::kAlreadyExists);
-  (*first)->close();
+  first->fd.reset();
   // After close the name is free again.
   auto second = listen(uri);
   EXPECT_TRUE(second.is_ok());
+}
+
+TEST(InProc, OverLongNameRejected) {
+  Uri uri;
+  uri.scheme = "inproc";
+  uri.host = std::string(200, 'n');
+  EXPECT_EQ(listen(uri).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(connect(uri).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Tcp, EphemeralPortIsReported) {
@@ -326,7 +334,7 @@ TEST(Tcp, EphemeralPortIsReported) {
   uri.port = 0;
   auto listener = listen(uri);
   ASSERT_TRUE(listener.is_ok());
-  EXPECT_GT((*listener)->endpoint().port, 0);
+  EXPECT_GT(listener->endpoint.port, 0);
 }
 
 TEST(Tcp, ConnectToClosedPortFails) {

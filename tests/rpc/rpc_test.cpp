@@ -5,6 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace ipa::rpc {
 namespace {
@@ -191,6 +194,72 @@ TEST(Rpc, WorksOverTcp) {
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(*reply, payload_of("over tcp"));
   server.stop();
+}
+
+TEST(Rpc, ServerPinsNoWorkerPerConnection) {
+  // Connections live on the server's reactor, not on pool workers: 64 open
+  // inproc connections are all served by a 4-worker pool.
+  net::ServerPoolOptions pool;
+  pool.max_workers = 4;
+  RpcServer server(inproc_endpoint("pins"), pool);
+  server.add_service(make_echo_service());
+  ASSERT_TRUE(server.start().is_ok());
+
+  constexpr int kConnections = 64;
+  std::vector<RpcClient> clients;
+  for (int i = 0; i < kConnections; ++i) {
+    auto client = RpcClient::connect(server.endpoint());
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    clients.push_back(std::move(*client));
+  }
+  for (int i = 0; i < kConnections; ++i) {
+    const std::string msg = "conn-" + std::to_string(i);
+    auto reply = clients[i].call("Echo", "echo", payload_of(msg), "", 2.0);
+    ASSERT_TRUE(reply.is_ok()) << "connection " << i << ": " << reply.status().to_string();
+    EXPECT_EQ(*reply, payload_of(msg));
+  }
+  EXPECT_EQ(server.active_connections(), static_cast<std::size_t>(kConnections));
+  EXPECT_LE(server.worker_count(), 4u);
+  server.stop();
+}
+
+/// A method that throws must fail only its own call: INTERNAL with the
+/// exception text, and the same connection serves the next call.
+void expect_throwing_method_answers_internal(const Uri& endpoint) {
+  auto service = make_echo_service();
+  service->register_method("throw", [](const CallContext&, const ser::Bytes&) -> Result<ser::Bytes> {
+    throw std::runtime_error("histogram booking blew up");
+  });
+  RpcServer server(endpoint);
+  server.add_service(service);
+  auto bound = server.start();
+  ASSERT_TRUE(bound.is_ok()) << bound.status().to_string();
+
+  auto client = RpcClient::connect(*bound);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto thrown = client->call("Echo", "throw", {}, "", 5.0);
+  ASSERT_FALSE(thrown.is_ok());
+  EXPECT_EQ(thrown.status().code(), StatusCode::kInternal) << thrown.status().to_string();
+  EXPECT_NE(thrown.status().message().find("histogram booking blew up"), std::string::npos);
+  EXPECT_NE(thrown.status().message().find("Echo.throw"), std::string::npos);
+
+  auto after = client->call("Echo", "echo", payload_of("still serving"), "", 5.0);
+  ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+  EXPECT_EQ(*after, payload_of("still serving"));
+  EXPECT_EQ(client->stats().reconnects, 0u);
+  server.stop();
+}
+
+TEST(Rpc, ThrowingMethodAnswersInternal) {
+  expect_throwing_method_answers_internal(inproc_endpoint("throw"));
+}
+
+TEST(Rpc, ThrowingMethodAnswersInternalOverTcp) {
+  Uri uri;
+  uri.scheme = "tcp";
+  uri.host = "127.0.0.1";
+  uri.port = 0;
+  expect_throwing_method_answers_internal(uri);
 }
 
 TEST(Rpc, StopUnblocksAndRejectsFurtherCalls) {

@@ -87,7 +87,7 @@ TEST(SessionGuard, RpcClientTokenAndPolicyAreLockProtected) {
   stop = true;
   threads[1].join();
   EXPECT_EQ(bad.load(), 0);
-  (*listener)->close();
+  listener->fd.reset();
 }
 
 }  // namespace

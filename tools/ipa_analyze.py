@@ -65,6 +65,7 @@ KINDS = ("rank-inversion", "lock-cycle", "unranked-mutex", "blocking-under-lock"
 LOCK_RANKS = {
     "kUnranked": 0,
     "kIds": 10,
+    "kStopFlag": 15,
     "kLog": 20,
     "kFlight": 25,
     "kMetrics": 30,
@@ -75,7 +76,6 @@ LOCK_RANKS = {
     "kTransport": 70,
     "kReactor": 72,
     "kReactorStream": 74,
-    "kNetRegistry": 80,
     "kWorkerPool": 90,
     "kServer": 100,
     "kChannel": 110,
