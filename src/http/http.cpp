@@ -241,12 +241,16 @@ Result<Uri> Server::start() {
   bound_ = listening.endpoint;
   bound_.scheme = "http";
   IPA_RETURN_IF_ERROR(reactor_.start());
-  IPA_RETURN_IF_ERROR(acceptor_.start(std::move(listening)));
+  if (Status started = acceptor_.start(std::move(listening)); !started.is_ok()) {
+    reactor_.stop();
+    return started;
+  }
   IPA_LOG(debug) << "http server on " << bound_.to_string();
   return bound_;
 }
 
 void Server::stop() {
+  acceptor_.close_listener();  // no new connections while the pool drains
   pool_.stop();     // in-flight handlers finish; their response posts may
                     // still reach the reactor, which is stopped after them
   reactor_.stop();  // drops pending posts, clears fd/timer registrations

@@ -21,14 +21,21 @@ Acceptor::Acceptor(Reactor& reactor, const std::string& server, StreamOptions op
 Acceptor::~Acceptor() { stop(); }
 
 Status Acceptor::start(Listening listening) {
-  IPA_RETURN_IF_ERROR(set_nonblocking(listening.fd.get()));
   listening_ = std::move(listening);
-  return reactor_.add_fd(listening_.fd.get(), EPOLLIN,
-                         [this](std::uint32_t) { on_accept_ready(); })
-      .status();
+  IPA_ASSIGN_OR_RETURN(listen_token_,
+                       reactor_.add_fd(listening_.fd.get(), EPOLLIN,
+                                       [this](std::uint32_t) { on_accept_ready(); }));
+  return Status::ok();
+}
+
+void Acceptor::close_listener() {
+  if (listen_token_ == 0) return;
+  reactor_.remove_fd(listen_token_);
+  listen_token_ = 0;
 }
 
 void Acceptor::stop() {
+  close_listener();
   listening_.fd.reset();
   std::map<std::uint64_t, std::shared_ptr<Stream>> survivors;
   {
@@ -50,7 +57,8 @@ void Acceptor::on_accept_ready() {
   for (;;) {
     std::string peer;
     auto fd = accept_fd(listening_.fd.get(), listening_.endpoint.host, peer);
-    if (!fd.is_ok()) return;  // backlog drained (or a transient accept error)
+    // Backlog drained (invalid fd), or a transient accept error.
+    if (!fd.is_ok() || !fd->valid()) return;
     std::uint64_t id = 0;
     {
       LockGuard lock(mutex_);

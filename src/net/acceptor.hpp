@@ -47,6 +47,10 @@ class Acceptor {
 
   /// Register the listening socket with the running reactor.
   Status start(Listening listening);
+  /// Stop accepting: take the listening socket off the reactor. Servers call
+  /// this first in stop(), so no connection arrives while their pool drains.
+  /// Idempotent.
+  void close_listener();
   /// Close the listening socket and release every surviving connection.
   /// Call once the reactor has stopped, so no callback races the teardown.
   /// Idempotent.
@@ -64,6 +68,7 @@ class Acceptor {
   obs::Gauge& open_gauge_;
   obs::Counter& accepted_;
   Listening listening_;
+  std::uint64_t listen_token_ = 0;  // reactor registration; 0 = none
   mutable Mutex mutex_{LockRank::kServer, "server-conns"};
   std::uint64_t next_id_ IPA_GUARDED_BY(mutex_) = 0;
   std::map<std::uint64_t, std::shared_ptr<Stream>> conns_ IPA_GUARDED_BY(mutex_);

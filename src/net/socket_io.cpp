@@ -135,7 +135,7 @@ Result<Fd> tcp_connect_fd(const std::string& host, std::uint16_t port, double ti
 }
 
 Result<Fd> tcp_listen_fd(const std::string& host, std::uint16_t port, std::uint16_t& bound_port) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return errno_status("socket: socket");
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -180,7 +180,7 @@ Result<InprocAddress> inproc_address(const std::string& name) {
 
 Result<Fd> inproc_listen_fd(const std::string& name) {
   IPA_ASSIGN_OR_RETURN(const InprocAddress address, inproc_address(name));
-  Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return errno_status("inproc: socket");
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&address.addr), address.len) != 0) {
     if (errno == EADDRINUSE) return already_exists("inproc: endpoint '" + name + "' in use");
@@ -219,7 +219,19 @@ Result<Fd> accept_fd(int listen_fd, const std::string& listen_name, std::string&
                     SOCK_NONBLOCK | SOCK_CLOEXEC));
     if (!fd.valid()) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return Fd();
       return errno_status("socket: accept");
+    }
+    if (addr.ss_family == AF_UNIX) {
+      // Abstract sockets carry no filesystem permissions, so any process in
+      // the network namespace could dial this name. inproc stays private to
+      // its process: a peer from another pid is hung up on.
+      ucred cred{};
+      socklen_t cred_len = sizeof cred;
+      if (::getsockopt(fd.get(), SOL_SOCKET, SO_PEERCRED, &cred, &cred_len) != 0 ||
+          cred.pid != ::getpid()) {
+        continue;
+      }
     }
     if (addr.ss_family == AF_INET) {
       const auto& in = reinterpret_cast<const sockaddr_in&>(addr);

@@ -6,6 +6,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+
+#include "common/clock.hpp"
 #include "common/strings.hpp"
 #include "common/sync.hpp"
 #include "net/fault.hpp"
@@ -75,10 +78,17 @@ Result<Listening> listen(const Uri& endpoint) {
 }
 
 Result<ConnectionPtr> accept(const Listening& listening, double timeout_s) {
-  IPA_RETURN_IF_ERROR(wait_ready(listening.fd.get(), POLLIN, timeout_s));
-  std::string peer;
-  IPA_ASSIGN_OR_RETURN(Fd fd, accept_fd(listening.fd.get(), listening.endpoint.host, peer));
-  return ConnectionPtr(new SocketConnection(std::move(fd), std::move(peer)));
+  const double deadline = WallClock::instance().now() + timeout_s;
+  for (;;) {
+    const double left =
+        timeout_s < 0 ? -1.0 : std::max(0.0, deadline - WallClock::instance().now());
+    IPA_RETURN_IF_ERROR(wait_ready(listening.fd.get(), POLLIN, left));
+    std::string peer;
+    IPA_ASSIGN_OR_RETURN(Fd fd, accept_fd(listening.fd.get(), listening.endpoint.host, peer));
+    // Invalid: nothing left pending — the peer that woke us was refused
+    // (another process) or gave up.
+    if (fd.valid()) return ConnectionPtr(new SocketConnection(std::move(fd), std::move(peer)));
+  }
 }
 
 Result<ConnectionPtr> connect(const Uri& endpoint, double timeout_s) {

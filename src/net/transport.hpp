@@ -7,7 +7,8 @@
 //
 //   inproc://name      - an AF_UNIX stream socket in the Linux abstract
 //                        namespace, keyed by pid and name (tests, the
-//                        functional grid built by examples)
+//                        functional grid built by examples); private to
+//                        its process: peers from another pid are refused
 //   tcp://host:port    - IPv4 sockets; gives the examples an actual network
 //                        hop like the paper's JAS client → Globus container
 //                        path
@@ -57,9 +58,9 @@ class Connection {
 
 using ConnectionPtr = std::unique_ptr<Connection>;
 
-/// A bound listening socket and the endpoint dialers should use: the
-/// ephemeral port of tcp://host:0 resolved, a chaos+ endpoint re-branded
-/// with its policy query.
+/// A bound, non-blocking listening socket and the endpoint dialers should
+/// use: the ephemeral port of tcp://host:0 resolved, a chaos+ endpoint
+/// re-branded with its policy query.
 struct Listening {
   Fd fd;
   Uri endpoint;

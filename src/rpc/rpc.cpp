@@ -127,12 +127,16 @@ Result<Uri> RpcServer::start() {
   IPA_ASSIGN_OR_RETURN(net::Listening listening, net::listen(requested_));
   bound_ = listening.endpoint;
   IPA_RETURN_IF_ERROR(reactor_.start());
-  IPA_RETURN_IF_ERROR(acceptor_.start(std::move(listening)));
+  if (Status started = acceptor_.start(std::move(listening)); !started.is_ok()) {
+    reactor_.stop();
+    return started;
+  }
   IPA_LOG(debug) << "rpc server listening on " << bound_.to_string();
   return bound_;
 }
 
 void RpcServer::stop() {
+  acceptor_.close_listener();  // no new connections while the pool drains
   pool_.stop();       // in-flight calls finish and send their responses
   reactor_.stop();    // after the pool: late response sends still land
   acceptor_.stop();

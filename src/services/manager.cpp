@@ -185,11 +185,7 @@ Status ManagerNode::initialize() {
 void ManagerNode::stop() {
   // The monitor goes first: a restart in flight must not race the session
   // teardown below.
-  {
-    LockGuard lock(monitor_mutex_);
-    monitor_stopping_ = true;
-  }
-  monitor_cv_.notify_all();
+  monitor_stop_.request();
   if (monitor_.joinable()) monitor_.join();
   // Close all sessions first so worker hosts disconnect before servers die.
   for (const std::string& id : sessions_.ids()) {
@@ -242,14 +238,7 @@ Status ManagerNode::kill_engine(const std::string& session_id,
 void ManagerNode::monitor_loop() {
   const auto interval = std::chrono::duration<double>(config_.monitor_interval_s);
   for (;;) {
-    {
-      UniqueLock lock(monitor_mutex_);
-      if (monitor_cv_.wait_for(lock, interval, [this]() IPA_REQUIRES(monitor_mutex_) {
-            return monitor_stopping_;
-          })) {
-        return;
-      }
-    }
+    if (monitor_stop_.wait_for(interval)) return;
     for (const std::string& session_id : sessions_.ids()) {
       auto session = sessions_.find(session_id);
       if (!session.is_ok()) continue;

@@ -184,11 +184,7 @@ class ManagerNode {
   // Guards compute_ only (swappable via set_compute_element); sessions_ has
   // its own internal lock.
   mutable Mutex mutex_{LockRank::kManager, "manager-compute"};
-  // The monitor sleeps on monitor_cv_ between scans; stop() sets the flag
-  // and wakes it.
-  Mutex monitor_mutex_{LockRank::kStopFlag, "monitor-stop"};
-  CondVar monitor_cv_;
-  bool monitor_stopping_ IPA_GUARDED_BY(monitor_mutex_) = false;
+  StopFlag monitor_stop_;  // the monitor sleeps on it between scans
   std::jthread monitor_;
 };
 

@@ -38,13 +38,7 @@ void WorkerHost::heartbeat_loop(double interval_s) {
   const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(interval_s));
   for (auto next = std::chrono::steady_clock::now() + period;; next += period) {
-    {
-      UniqueLock lock(stop_mutex_);
-      if (stop_cv_.wait_for(lock, next - std::chrono::steady_clock::now(),
-                            [this]() IPA_REQUIRES(stop_mutex_) { return stopping_; })) {
-        return;
-      }
-    }
+    if (stop_.wait_for(next - std::chrono::steady_clock::now())) return;
     const auto ack = rpc_->call(kWorkerRegistryService, "heartbeat",
                                 encode_ready(session_id_, engine_id_), "",
                                 /*timeout_s=*/1.0);
@@ -70,11 +64,7 @@ WorkerHost::WorkerHost(std::string session_id, std::string engine_id, rpc::RpcCl
 WorkerHost::~WorkerHost() {
   // Heartbeats stop first, then the snapshot handler, so nothing touches
   // the RPC client while it is being closed.
-  {
-    LockGuard lock(stop_mutex_);
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
+  stop_.request();
   if (heartbeat_.joinable()) heartbeat_.join();
   engine_->set_snapshot_handler(nullptr);
   engine_.reset();

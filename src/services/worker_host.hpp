@@ -66,11 +66,7 @@ class WorkerHost final : public EngineHandle {
   std::string engine_id_;
   std::unique_ptr<rpc::RpcClient> rpc_;
   std::unique_ptr<engine::AnalysisEngine> engine_;
-  // The heartbeat sleeps on stop_cv_ between beats; the destructor sets the
-  // flag and wakes it.
-  Mutex stop_mutex_{LockRank::kStopFlag, "heartbeat-stop"};
-  CondVar stop_cv_;
-  bool stopping_ IPA_GUARDED_BY(stop_mutex_) = false;
+  StopFlag stop_;  // the heartbeat sleeps on it between beats
   std::jthread heartbeat_;  // last member: joins before the rest tears down
 };
 

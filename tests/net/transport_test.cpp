@@ -1,10 +1,17 @@
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -325,6 +332,45 @@ TEST(InProc, OverLongNameRejected) {
   uri.host = std::string(200, 'n');
   EXPECT_EQ(listen(uri).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(connect(uri).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(InProc, PeerFromAnotherProcessIsRefused) {
+  // Abstract sockets have no filesystem permissions: a forked child can
+  // dial the parent's inproc name directly, and accept must hang up on it.
+  Uri uri;
+  uri.scheme = "inproc";
+  uri.host = "private-ep";
+  auto listener = listen(uri);
+  ASSERT_TRUE(listener.is_ok());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = "ipa/" + std::to_string(::getpid()) + "/" + uri.host;
+  std::memcpy(addr.sun_path + 1, path.data(), path.size());
+  const auto addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + path.size());
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Async-signal-safe calls only: exit 0 once the parent hung up.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), addr_len) != 0) ::_exit(2);
+    const char one = 1;
+    if (::write(ready[1], &one, 1) != 1) ::_exit(3);
+    pollfd pfd{fd, POLLIN, 0};
+    char byte;
+    ::_exit(::poll(&pfd, 1, 5000) == 1 && ::read(fd, &byte, 1) <= 0 ? 0 : 1);
+  }
+  ::close(ready[1]);
+  char one = 0;
+  ASSERT_EQ(::read(ready[0], &one, 1), 1);  // the child's connect is pending
+  ::close(ready[0]);
+  EXPECT_EQ(accept(*listener, 0.2).status().code(), StatusCode::kDeadlineExceeded);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child was not hung up on";
 }
 
 TEST(Tcp, EphemeralPortIsReported) {

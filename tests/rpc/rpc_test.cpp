@@ -1,9 +1,16 @@
 #include "rpc/rpc.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -220,6 +227,43 @@ TEST(Rpc, ServerPinsNoWorkerPerConnection) {
   }
   EXPECT_EQ(server.active_connections(), static_cast<std::size_t>(kConnections));
   EXPECT_LE(server.worker_count(), 4u);
+  server.stop();
+}
+
+TEST(Rpc, InprocEndpointRefusesOtherProcesses) {
+  // The manager's default RPC endpoint is inproc and unauthenticated; it
+  // must stay out of reach of every other process on the host.
+  RpcServer server(inproc_endpoint("private"));
+  server.add_service(make_echo_service());
+  auto bound = server.start();
+  ASSERT_TRUE(bound.is_ok()) << bound.status().to_string();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = "ipa/" + std::to_string(::getpid()) + "/" + bound->host;
+  std::memcpy(addr.sun_path + 1, path.data(), path.size());
+  const auto addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + path.size());
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Async-signal-safe calls only. A served connection stays open (the
+    // idle reaper is minutes away); a refused one is hung up at once.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), addr_len) != 0) ::_exit(2);
+    pollfd pfd{fd, POLLIN, 0};
+    char byte;
+    ::_exit(::poll(&pfd, 1, 5000) == 1 && ::read(fd, &byte, 1) <= 0 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "another process reached the inproc endpoint";
+  EXPECT_EQ(server.active_connections(), 0u);
+
+  // The endpoint still serves its own process.
+  auto client = RpcClient::connect(*bound);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  EXPECT_EQ(client->call("Echo", "echo", payload_of("mine"), "", 5.0).value(), payload_of("mine"));
   server.stop();
 }
 
