@@ -62,10 +62,12 @@ Result<std::unique_ptr<ScriptAnalyzer>> ScriptAnalyzer::compile(const std::strin
                                                                 script::InterpOptions options) {
   script::Interp interp(options);
   IPA_RETURN_IF_ERROR(interp.load(source).with_prefix("analysis script"));
-  if (!interp.has_function("process")) {
+  script::Value process = interp.function("process");
+  if (process.is_nil()) {
     return invalid_argument("analysis script must define process(event, tree)");
   }
-  return std::unique_ptr<ScriptAnalyzer>(new ScriptAnalyzer(std::move(interp)));
+  return std::unique_ptr<ScriptAnalyzer>(
+      new ScriptAnalyzer(std::move(interp), std::move(process)));
 }
 
 Status ScriptAnalyzer::begin(aida::Tree& tree) {
@@ -76,10 +78,9 @@ Status ScriptAnalyzer::begin(aida::Tree& tree) {
 }
 
 Status ScriptAnalyzer::process(const data::Record& record, aida::Tree& tree) {
-  const auto result =
-      interp_.call("process", {script::Value(script::make_event_object(&record)),
-                               script::Value(script::make_tree_object(&tree))});
-  return result.status().with_prefix("process()");
+  const script::Value args[] = {script::Value(script::make_event_object(&record)),
+                                script::Value(script::make_tree_object(&tree))};
+  return interp_.invoke(process_, args).status().with_prefix("process()");
 }
 
 Status ScriptAnalyzer::process_batch(const data::RecordBatch& batch, aida::Tree& tree) {
@@ -87,12 +88,11 @@ Status ScriptAnalyzer::process_batch(const data::RecordBatch& batch, aida::Tree&
     cursor_ = script::make_batch_event_object(&batch);
     cursor_batch_ = &batch;
   }
-  const script::Value event(cursor_);
-  const script::Value tree_object(script::make_tree_object(&tree));
+  const script::Value args[] = {script::Value(cursor_),
+                                script::Value(script::make_tree_object(&tree))};
   for (std::size_t row = 0; row < batch.rows(); ++row) {
     cursor_->set_row(row);
-    const auto result = interp_.call("process", {event, tree_object});
-    IPA_RETURN_IF_ERROR(result.status().with_prefix("process()"));
+    IPA_RETURN_IF_ERROR(interp_.invoke(process_, args).status().with_prefix("process()"));
   }
   return Status::ok();
 }

@@ -78,9 +78,11 @@ class ScriptAnalyzer final : public Analyzer {
   std::vector<std::string>& script_output() { return interp_.output(); }
 
  private:
-  explicit ScriptAnalyzer(script::Interp interp) : interp_(std::move(interp)) {}
+  ScriptAnalyzer(script::Interp interp, script::Value process)
+      : interp_(std::move(interp)), process_(std::move(process)) {}
 
   script::Interp interp_;
+  script::Value process_;  // process(event, tree), resolved once
   // Cursor reused across process_batch calls: the engine feeds one batch
   // object for the whole run, so the cursor's name→slot cache stays warm.
   std::shared_ptr<script::BatchEventObject> cursor_;

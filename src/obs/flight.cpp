@@ -19,7 +19,7 @@ std::size_t round_up_pow2(std::size_t n) {
 
 void copy_truncated(char* dst, std::size_t dst_size, std::string_view src) {
   const std::size_t n = src.size() < dst_size - 1 ? src.size() : dst_size - 1;
-  std::memcpy(dst, src.data(), n);
+  if (n != 0) std::memcpy(dst, src.data(), n);  // an empty view's data() may be null
   dst[n] = '\0';
 }
 

@@ -1,40 +1,62 @@
 // PawScript abstract syntax tree.
+//
+// The parser builds it; Interp::load()'s resolver pass then annotates it in
+// place (the `slot`/`global` fields and the frame sizes), so the run phase
+// never looks a name up by string.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "script/value.hpp"
 
 namespace ipa::script {
 
 struct Expr;
 struct Stmt;
+struct Global;  // an interpreter-owned global binding (interp.cpp)
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
+enum class Op : std::uint8_t {
+  kAdd, kSub, kMul, kDiv, kMod,      // kBinary, numeric (kAdd also strings, lists)
+  kEq, kNe, kLt, kLe, kGt, kGe,      // kBinary, comparison
+  kAnd, kOr,                         // kLogical
+  kNeg, kNot,                        // kUnary
+  kSet, kAddSet, kSubSet,            // kAssign: =, +=, -=
+};
+
+/// Source spelling of an operator, for error messages.
+inline const char* op_name(Op op) {
+  static constexpr const char* kNames[] = {"+",  "-",  "*", "/",  "%",  "==", "!=",
+                                           "<",  "<=", ">", ">=", "&&", "||", "-",
+                                           "!",  "=",  "+=", "-="};
+  return kNames[static_cast<int>(op)];
+}
+
 struct Expr {
   enum class Kind {
-    kNumber,    // number
-    kString,    // text
-    kBool,      // flag
-    kNil,
-    kVar,       // name
+    kLiteral,   // literal: a prebuilt number, string, bool or nil
+    kVar,       // text = name; resolved to `slot` or `global`
     kList,      // args = elements
-    kUnary,     // op ∈ {'-', '!'}; lhs
+    kUnary,     // op ∈ {kNeg, kNot}; lhs
     kBinary,    // op; lhs, rhs
-    kLogical,   // op ∈ {"&&","||"}; lhs, rhs (short-circuit)
+    kLogical,   // op ∈ {kAnd, kOr}; lhs, rhs (short-circuit)
     kCall,      // lhs = callee expression; args
-    kMethod,    // lhs = receiver; name = method; args
+    kMethod,    // lhs = receiver; text = method; args
     kIndex,     // lhs = container; rhs = index
   };
 
   Kind kind;
   int line = 1;
+  Op op = Op::kAdd;
 
-  double number = 0;
-  bool flag = false;
-  std::string text;   // string literal / variable / method name
-  std::string op;
+  Value literal;
+  std::string text;  // variable / method name
+  int slot = -1;               // kVar: frame slot, or -1 for a global
+  Global* global = nullptr;    // kVar: the global binding when slot < 0
   ExprPtr lhs;
   ExprPtr rhs;
   std::vector<ExprPtr> args;
@@ -43,8 +65,8 @@ struct Expr {
 struct Stmt {
   enum class Kind {
     kExpr,      // expr
-    kLet,       // name, expr
-    kAssign,    // target (kVar or kIndex), op ∈ {"=","+=","-="}, expr
+    kLet,       // name, expr; resolved to `slot` or `global`
+    kAssign,    // target (kVar or kIndex), op ∈ {kSet, kAddSet, kSubSet}, expr
     kIf,        // cond, then_block, else_block
     kWhile,     // cond, body
     kFor,       // init, cond, step, body
@@ -58,7 +80,9 @@ struct Stmt {
   int line = 1;
 
   std::string name;
-  std::string op;
+  Op op = Op::kSet;
+  int slot = -1;             // kLet: frame slot, or -1 for a top-level global
+  Global* global = nullptr;  // kLet: the global it defines when slot < 0
   ExprPtr expr;
   ExprPtr cond;
   ExprPtr target;
@@ -74,6 +98,7 @@ struct FunctionDecl {
   std::vector<std::string> params;
   std::vector<StmtPtr> body;
   int line = 1;
+  std::size_t frame_size = 0;  // parameters + locals, set by the resolver
 };
 
 /// A parsed script: top-level functions plus top-level statements (run in
@@ -81,6 +106,7 @@ struct FunctionDecl {
 struct Program {
   std::vector<FunctionDecl> functions;
   std::vector<StmtPtr> top_level;
+  std::size_t frame_size = 0;  // locals of nested top-level blocks
 };
 
 }  // namespace ipa::script

@@ -1,17 +1,26 @@
 // PawScript tree-walking interpreter.
 //
 // Design notes:
-//  - No exceptions escape: the public API returns Status/Result. Internally
-//    control flow (return/break/continue) and errors use exceptions, caught
-//    at the call boundary.
+//  - load() parses, then runs a resolver pass over the AST once: every
+//    parameter and block-local `let` becomes an index into the call's flat
+//    frame, and every other name a pointer to an interned global binding.
+//    A global that nothing defines yet is still interned, so "undefined
+//    variable" stays a runtime error and a set_global()/register_native()
+//    after load() is visible to the loaded functions. Operators are enums.
+//  - Control flow is a value: a statement returns normal/return/break/
+//    continue and a return value travels in one interpreter slot. The only
+//    exception is a script error (the cold path); none escapes the public
+//    API, which returns Status/Result.
+//  - A function value shares ownership of its program, so it stays callable
+//    after a hot-reload replaces that program; globals persist across loads.
 //  - A step budget bounds runaway scripts: the engine is interactive and a
 //    user's accidental `while(true)` must not wedge a worker node.
 //  - print() output is captured and retrievable, so engine logs can relay
 //    script output back to the client.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +53,15 @@ class Interp {
 
   /// Invoke a script function by name.
   Result<Value> call(std::string_view name, std::vector<Value> args);
+
+  /// The script function `name`, resolved once for repeated invoke() calls
+  /// (nil if there is none). It keeps working after a later load(), in this
+  /// interpreter only: its code refers to this interpreter's globals.
+  Value function(std::string_view name) const;
+
+  /// Invoke a function value from function(); `args` are copied, so a hot
+  /// loop can reuse them.
+  Result<Value> invoke(const Value& fn, std::span<const Value> args);
 
   /// Globals visible to scripts.
   void set_global(std::string name, Value value);

@@ -201,7 +201,8 @@ class Parser {
       auto stmt = std::make_unique<Stmt>();
       stmt->kind = Stmt::Kind::kAssign;
       stmt->line = line;
-      stmt->op = check(Tok::kAssign) ? "=" : (check(Tok::kPlusAssign) ? "+=" : "-=");
+      stmt->op = check(Tok::kAssign) ? Op::kSet
+                                     : (check(Tok::kPlusAssign) ? Op::kAddSet : Op::kSubSet);
       take();
       stmt->target = std::move(expr);
       IPA_ASSIGN_OR_RETURN(stmt->expr, parse_expr());
@@ -231,7 +232,7 @@ class Parser {
       const int line = take().line;
       IPA_ASSIGN_OR_RETURN(ExprPtr rhs, parse_and());
       auto node = make_expr(Expr::Kind::kLogical, line);
-      node->op = "||";
+      node->op = Op::kOr;
       node->lhs = std::move(lhs);
       node->rhs = std::move(rhs);
       lhs = std::move(node);
@@ -245,7 +246,7 @@ class Parser {
       const int line = take().line;
       IPA_ASSIGN_OR_RETURN(ExprPtr rhs, parse_equality());
       auto node = make_expr(Expr::Kind::kLogical, line);
-      node->op = "&&";
+      node->op = Op::kAnd;
       node->lhs = std::move(lhs);
       node->rhs = std::move(rhs);
       lhs = std::move(node);
@@ -255,13 +256,13 @@ class Parser {
 
   Result<ExprPtr> parse_binary_level(
       Result<ExprPtr> (Parser::*next)(),
-      std::initializer_list<std::pair<Tok, const char*>> ops) {
+      std::initializer_list<std::pair<Tok, Op>> ops) {
     IPA_ASSIGN_OR_RETURN(ExprPtr lhs, (this->*next)());
     while (true) {
-      const char* matched = nullptr;
-      for (const auto& [tok, name] : ops) {
-        if (check(tok)) {
-          matched = name;
+      const std::pair<Tok, Op>* matched = nullptr;
+      for (const auto& candidate : ops) {
+        if (check(candidate.first)) {
+          matched = &candidate;
           break;
         }
       }
@@ -269,7 +270,7 @@ class Parser {
       const int line = take().line;
       IPA_ASSIGN_OR_RETURN(ExprPtr rhs, (this->*next)());
       auto node = make_expr(Expr::Kind::kBinary, line);
-      node->op = matched;
+      node->op = matched->second;
       node->lhs = std::move(lhs);
       node->rhs = std::move(rhs);
       lhs = std::move(node);
@@ -278,19 +279,21 @@ class Parser {
 
   Result<ExprPtr> parse_equality() {
     return parse_binary_level(&Parser::parse_comparison,
-                              {{Tok::kEq, "=="}, {Tok::kNe, "!="}});
+                              {{Tok::kEq, Op::kEq}, {Tok::kNe, Op::kNe}});
   }
   Result<ExprPtr> parse_comparison() {
     return parse_binary_level(
         &Parser::parse_term,
-        {{Tok::kLt, "<"}, {Tok::kLe, "<="}, {Tok::kGt, ">"}, {Tok::kGe, ">="}});
+        {{Tok::kLt, Op::kLt}, {Tok::kLe, Op::kLe}, {Tok::kGt, Op::kGt}, {Tok::kGe, Op::kGe}});
   }
   Result<ExprPtr> parse_term() {
-    return parse_binary_level(&Parser::parse_factor, {{Tok::kPlus, "+"}, {Tok::kMinus, "-"}});
+    return parse_binary_level(&Parser::parse_factor,
+                              {{Tok::kPlus, Op::kAdd}, {Tok::kMinus, Op::kSub}});
   }
   Result<ExprPtr> parse_factor() {
     return parse_binary_level(&Parser::parse_unary,
-                              {{Tok::kStar, "*"}, {Tok::kSlash, "/"}, {Tok::kPercent, "%"}});
+                              {{Tok::kStar, Op::kMul}, {Tok::kSlash, Op::kDiv},
+                               {Tok::kPercent, Op::kMod}});
   }
 
   Result<ExprPtr> parse_unary() {
@@ -299,7 +302,7 @@ class Parser {
       const int line = take().line;
       IPA_ASSIGN_OR_RETURN(ExprPtr operand, parse_unary());
       auto node = make_expr(Expr::Kind::kUnary, line);
-      node->op = negate ? "-" : "!";
+      node->op = negate ? Op::kNeg : Op::kNot;
       node->lhs = std::move(operand);
       return node;
     }
@@ -353,22 +356,18 @@ class Parser {
 
   Result<ExprPtr> parse_primary() {
     const int line = peek().line;
-    if (check(Tok::kNumber)) {
-      auto node = make_expr(Expr::Kind::kNumber, line);
-      node->number = take().number;
+    if (check(Tok::kNumber) || check(Tok::kString) || check(Tok::kTrue) ||
+        check(Tok::kFalse) || check(Tok::kNil)) {
+      auto node = make_expr(Expr::Kind::kLiteral, line);
+      const Token& token = take();
+      switch (token.kind) {
+        case Tok::kNumber: node->literal = Value(token.number); break;
+        case Tok::kString: node->literal = Value(token.text); break;
+        case Tok::kNil: break;
+        default: node->literal = Value(token.kind == Tok::kTrue); break;
+      }
       return node;
     }
-    if (check(Tok::kString)) {
-      auto node = make_expr(Expr::Kind::kString, line);
-      node->text = take().text;
-      return node;
-    }
-    if (check(Tok::kTrue) || check(Tok::kFalse)) {
-      auto node = make_expr(Expr::Kind::kBool, line);
-      node->flag = take().kind == Tok::kTrue;
-      return node;
-    }
-    if (match(Tok::kNil)) return make_expr(Expr::Kind::kNil, line);
     if (check(Tok::kIdent)) {
       auto node = make_expr(Expr::Kind::kVar, line);
       node->text = take().text;

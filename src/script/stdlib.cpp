@@ -51,7 +51,7 @@ void install_stdlib(Interp& interp) {
   // --- lists ------------------------------------------------------------------
   interp.register_native("len", [](std::vector<Value>& args) -> Result<Value> {
     IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "len"));
-    if (args[0].is_list()) return Value(static_cast<double>(args[0].list_ptr()->size()));
+    if (args[0].is_list()) return Value(static_cast<double>(args[0].list().size()));
     if (args[0].is_string()) return Value(static_cast<double>(args[0].string().size()));
     return invalid_argument("len: argument must be a list or string");
   });

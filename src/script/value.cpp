@@ -5,23 +5,25 @@
 namespace ipa::script {
 
 bool Value::truthy() const {
-  if (is_nil()) return false;
-  if (is_bool()) return boolean();
-  if (is_number()) return number() != 0.0;
-  if (is_string()) return !string().empty();
-  return true;
+  switch (type_) {
+    case Type::kNil: return false;
+    case Type::kBool: return boolean();
+    case Type::kNumber: return number() != 0.0;
+    case Type::kString: return !string().empty();
+    default: return true;
+  }
 }
 
 std::string_view Value::type_name() const {
-  switch (rep.index()) {
-    case 0: return "nil";
-    case 1: return "number";
-    case 2: return "bool";
-    case 3: return "string";
-    case 4: return "list";
-    case 5: return "function";
-    case 6: return "function";
-    case 7: return std::get<std::shared_ptr<NativeObject>>(rep)->type_name();
+  switch (type_) {
+    case Type::kNil: return "nil";
+    case Type::kNumber: return "number";
+    case Type::kBool: return "bool";
+    case Type::kString: return "string";
+    case Type::kList: return "list";
+    case Type::kNative:
+    case Type::kFunction: return "function";
+    case Type::kObject: return object()->type_name();
   }
   return "?";
 }
@@ -39,7 +41,7 @@ std::string Value::to_display() const {
   if (is_string()) return string();
   if (is_list()) {
     std::string out = "[";
-    const List& items = *list_ptr();
+    const List& items = list();
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (i) out += ", ";
       if (items[i].is_string()) {
@@ -54,22 +56,23 @@ std::string Value::to_display() const {
 }
 
 bool operator==(const Value& a, const Value& b) {
-  if (a.rep.index() != b.rep.index()) return false;
-  if (a.is_nil()) return true;
-  if (a.is_number()) return a.number() == b.number();
-  if (a.is_bool()) return a.boolean() == b.boolean();
-  if (a.is_string()) return a.string() == b.string();
-  if (a.is_list()) {
-    const List& la = *a.list_ptr();
-    const List& lb = *b.list_ptr();
-    if (la.size() != lb.size()) return false;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      if (!(la[i] == lb[i])) return false;
+  if (a.type_ != b.type_) return false;
+  switch (a.type_) {
+    case Value::Type::kNil: return true;
+    case Value::Type::kNumber:
+    case Value::Type::kBool: return a.number_ == b.number_;
+    case Value::Type::kString: return a.string() == b.string();
+    case Value::Type::kList: {
+      const List& la = a.list();
+      const List& lb = b.list();
+      if (la.size() != lb.size()) return false;
+      for (std::size_t i = 0; i < la.size(); ++i) {
+        if (!(la[i] == lb[i])) return false;
+      }
+      return true;
     }
-    return true;
+    default: return a.ref_ == b.ref_;  // functions / objects: identity
   }
-  // Functions / objects: identity.
-  return a.rep == b.rep;
 }
 
 Status check_arity(const std::vector<Value>& args, std::size_t min_args, std::size_t max_args,

@@ -3,22 +3,26 @@
 // Dynamically typed: nil, number (double), bool, string, list (shared,
 // reference semantics like Python), native function, user function, and
 // native object (host-provided receiver with methods — how the engine
-// exposes the current event and the AIDA tree to scripts).
+// exposes the current event and the AIDA tree to scripts). Strings are
+// immutable and shared. A user function value shares ownership of the
+// program it was loaded from, so it stays callable after a hot-reload
+// replaces that program.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/status.hpp"
-#include "script/ast.hpp"
 
 namespace ipa::script {
 
 struct Value;
+struct FunctionDecl;
 using List = std::vector<Value>;
+using FunctionRef = std::shared_ptr<const FunctionDecl>;
 
 /// Host object exposed to scripts (event, tree, ...). Methods are invoked
 /// as `obj.method(args)`.
@@ -32,48 +36,44 @@ class NativeObject {
 using NativeFn = std::function<Result<Value>(std::vector<Value>&)>;
 
 struct Value {
-  using Rep = std::variant<std::monostate,                  // nil
-                           double,                          // number
-                           bool,                            // bool
-                           std::string,                     // string
-                           std::shared_ptr<List>,           // list
-                           std::shared_ptr<NativeFn>,       // native function
-                           const FunctionDecl*,             // user function
-                           std::shared_ptr<NativeObject>>;  // host object
-
-  Rep rep;
+  enum class Type : std::uint8_t {
+    kNil, kNumber, kBool, kString, kList, kNative, kFunction, kObject
+  };
 
   Value() = default;
-  Value(double v) : rep(v) {}                     // NOLINT(google-explicit-constructor)
-  Value(bool v) : rep(v) {}                       // NOLINT
-  Value(std::string v) : rep(std::move(v)) {}     // NOLINT
-  Value(const char* v) : rep(std::string(v)) {}   // NOLINT
-  Value(std::shared_ptr<List> v) : rep(std::move(v)) {}          // NOLINT
-  Value(std::shared_ptr<NativeFn> v) : rep(std::move(v)) {}      // NOLINT
-  Value(const FunctionDecl* v) : rep(v) {}                       // NOLINT
-  Value(std::shared_ptr<NativeObject> v) : rep(std::move(v)) {}  // NOLINT
+  Value(double v) : type_(Type::kNumber), number_(v) {}            // NOLINT(google-explicit-constructor)
+  Value(bool v) : type_(Type::kBool), number_(v ? 1.0 : 0.0) {}    // NOLINT
+  Value(std::string v)                                             // NOLINT
+      : type_(Type::kString), ref_(std::make_shared<const std::string>(std::move(v))) {}
+  Value(const char* v) : Value(std::string(v)) {}                  // NOLINT
+  Value(std::shared_ptr<List> v) : type_(Type::kList), ref_(std::move(v)) {}          // NOLINT
+  Value(std::shared_ptr<NativeFn> v) : type_(Type::kNative), ref_(std::move(v)) {}    // NOLINT
+  Value(FunctionRef v) : type_(Type::kFunction), ref_(std::move(v)) {}                // NOLINT
+  Value(std::shared_ptr<NativeObject> v) : type_(Type::kObject), ref_(std::move(v)) {}  // NOLINT
 
   static Value nil() { return Value(); }
   static Value list(List items) { return Value(std::make_shared<List>(std::move(items))); }
 
-  bool is_nil() const { return std::holds_alternative<std::monostate>(rep); }
-  bool is_number() const { return std::holds_alternative<double>(rep); }
-  bool is_bool() const { return std::holds_alternative<bool>(rep); }
-  bool is_string() const { return std::holds_alternative<std::string>(rep); }
-  bool is_list() const { return std::holds_alternative<std::shared_ptr<List>>(rep); }
-  bool is_callable() const {
-    return std::holds_alternative<std::shared_ptr<NativeFn>>(rep) ||
-           std::holds_alternative<const FunctionDecl*>(rep);
-  }
-  bool is_object() const { return std::holds_alternative<std::shared_ptr<NativeObject>>(rep); }
+  Type type() const { return type_; }
+  bool is_nil() const { return type_ == Type::kNil; }
+  bool is_number() const { return type_ == Type::kNumber; }
+  bool is_bool() const { return type_ == Type::kBool; }
+  bool is_string() const { return type_ == Type::kString; }
+  bool is_list() const { return type_ == Type::kList; }
+  bool is_callable() const { return type_ == Type::kNative || type_ == Type::kFunction; }
+  bool is_object() const { return type_ == Type::kObject; }
 
-  double number() const { return std::get<double>(rep); }
-  bool boolean() const { return std::get<bool>(rep); }
-  const std::string& string() const { return std::get<std::string>(rep); }
-  const std::shared_ptr<List>& list_ptr() const { return std::get<std::shared_ptr<List>>(rep); }
-  const std::shared_ptr<NativeObject>& object() const {
-    return std::get<std::shared_ptr<NativeObject>>(rep);
+  // Accessors; each requires the matching is_*().
+  double number() const { return number_; }
+  bool boolean() const { return number_ != 0.0; }
+  const std::string& string() const { return *static_cast<const std::string*>(ref_.get()); }
+  List& list() const { return *static_cast<List*>(mutable_ref()); }
+  std::shared_ptr<List> list_ptr() const {
+    return std::static_pointer_cast<List>(std::const_pointer_cast<void>(ref_));
   }
+  NativeFn& native() const { return *static_cast<NativeFn*>(mutable_ref()); }
+  const FunctionDecl& function() const { return *static_cast<const FunctionDecl*>(ref_.get()); }
+  NativeObject* object() const { return static_cast<NativeObject*>(mutable_ref()); }
 
   /// nil/false → false; 0 and "" → false; everything else → true.
   bool truthy() const;
@@ -86,6 +86,15 @@ struct Value {
 
   /// Structural equality (lists compare element-wise; objects by identity).
   friend bool operator==(const Value& a, const Value& b);
+
+ private:
+  void* mutable_ref() const { return const_cast<void*>(ref_.get()); }
+
+  // A tag, an inline number (bools as 0/1) and one shared reference for the
+  // rest: copying a number is plain word copies, with no type dispatch.
+  Type type_ = Type::kNil;
+  double number_ = 0;
+  std::shared_ptr<const void> ref_;  // string, list, function or object
 };
 
 /// Argument helpers for native functions and methods.

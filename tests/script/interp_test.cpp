@@ -322,3 +322,188 @@ func down(n) {
 
 }  // namespace
 }  // namespace ipa::script
+// Resolver semantics: load() binds names to frame slots and interned
+// globals once; these pin that the bindings follow lexical scoping and
+// that name errors stay runtime errors.
+namespace ipa::script {
+namespace {
+
+Status load_error(const std::string& source) {
+  Interp interp;
+  return interp.load(source);
+}
+
+TEST(Resolver, ShadowingInNestedBlocks) {
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let x = 1;
+  let seen = 0;
+  {
+    let x = 2;
+    { let x = 3; seen = seen + x; }
+    seen = seen * 10 + x;
+  }
+  return seen * 10 + x;
+})"), 321.0);
+}
+
+TEST(Resolver, LetInitializerReadsTheOuterBinding) {
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let x = 5;
+  let inner = 0;
+  { let x = x + 1; inner = x; }
+  return inner * 10 + x;
+})"), 65.0);
+  // The same for a local shadowing a global.
+  EXPECT_DOUBLE_EQ(run_num("let g = 1; func main() { let g = g + 1; return g; }"), 2.0);
+}
+
+TEST(Resolver, LetInLoopBodyIsFreshEachIteration) {
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let lists = [];
+  for (let i = 0; i < 3; i += 1) {
+    let xs = [];
+    push(xs, i);
+    push(lists, xs);
+  }
+  return len(lists[0]) + len(lists[1]) + len(lists[2]) + lists[2][0] * 10;
+})"), 23.0);
+}
+
+TEST(Resolver, ReadBeforeSameBlockLetResolvesOutward) {
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let x = 1;
+  let r = 0;
+  { r = x; let x = 2; r = r * 10 + x; }
+  return r;
+})"), 12.0);
+  // Outward from a function's top block is the global of that name.
+  EXPECT_DOUBLE_EQ(run_num(R"(
+let x = 100;
+func main() { let a = x; let x = 5; return a + x; })"), 105.0);
+}
+
+TEST(Resolver, UndefinedGlobalFailsOnlyWhenCalled) {
+  Interp interp;
+  ASSERT_TRUE(interp.load("func f() {\n  return missing + 1;\n}").is_ok());
+  const auto result = interp.call("f", {});
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(result.status().message().find("undefined variable 'missing' (line 2)"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST(Resolver, GlobalsDefinedAfterLoadAreVisible) {
+  Interp interp;
+  ASSERT_TRUE(interp.load("func f() { return late * 2 + helper(); }").is_ok());
+  EXPECT_FALSE(interp.call("f", {}).is_ok());
+  interp.set_global("late", Value(20.0));
+  interp.register_native("helper", [](std::vector<Value>&) -> Result<Value> {
+    return Value(2.0);
+  });
+  const auto result = interp.call("f", {});
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_DOUBLE_EQ(result->number(), 42.0);
+}
+
+TEST(Resolver, ControlFlowOutsideItsContext) {
+  EXPECT_EQ(load_error("return 1;").message(), "script: 'return' outside a function");
+  EXPECT_EQ(load_error("break;").message(), "script: 'break' outside a loop");
+  EXPECT_EQ(load_error("continue;").message(), "script: 'continue' outside a loop");
+  const auto broke = run("func f() { break; }", "f");
+  ASSERT_FALSE(broke.is_ok());
+  EXPECT_EQ(broke.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(broke.status().message(), "script: 'break' outside a loop");
+  const auto continued = run("func f() { continue; }", "f");
+  ASSERT_FALSE(continued.is_ok());
+  EXPECT_EQ(continued.status().message(), "script: 'continue' outside a loop");
+  // Inside a loop they act on that loop only.
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let i = 0;
+  let odd = 0;
+  while (i < 10) {
+    i += 1;
+    if (i % 2 == 0) { continue; }
+    if (i > 7) { break; }
+    odd += 1;
+  }
+  return odd * 100 + i;
+})"), 409.0);
+}
+
+TEST(Resolver, RecursionStopsAtTheLimit) {
+  Interp interp;
+  ASSERT_TRUE(interp.load(R"(
+func down(n) {
+  if (n <= 0) { return 0; }
+  return 1 + down(n - 1);
+})").is_ok());
+  // 256 nested calls are allowed, the 257th is not.
+  auto deepest = interp.call("down", {Value(255.0)});
+  ASSERT_TRUE(deepest.is_ok()) << deepest.status().to_string();
+  EXPECT_DOUBLE_EQ(deepest->number(), 255.0);
+  const auto too_deep = interp.call("down", {Value(256.0)});
+  ASSERT_FALSE(too_deep.is_ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kResourceExhausted);
+  // The failed call unwound its frames: the interpreter still works.
+  EXPECT_DOUBLE_EQ(interp.call("down", {Value(3.0)})->number(), 3.0);
+}
+
+TEST(Resolver, StepBudgetStopsInfiniteLoopsAnywhere) {
+  Interp top(InterpOptions{.max_steps_per_call = 1000});
+  EXPECT_EQ(top.load("while (true) {}").code(), StatusCode::kResourceExhausted);
+  Interp body(InterpOptions{.max_steps_per_call = 1000});
+  ASSERT_TRUE(body.load("func spin() { let i = 0; for (;;) { i += 1; } }").is_ok());
+  EXPECT_EQ(body.call("spin", {}).status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(Resolver, StepBudgetCountsEveryStatementAndExpression) {
+  // 32 steps: 16 statements and expressions outside the loop body and
+  // callee, plus 2 iterations of an 8-step body, test and step.
+  const char* source = R"(
+func g(a) { return a; }
+func f() {
+  let s = 0;
+  for (let i = 0; i < 2; i += 1) { s += g(i); }
+  return s;
+})";
+  Interp enough(InterpOptions{.max_steps_per_call = 32});
+  ASSERT_TRUE(enough.load(source).is_ok());
+  const auto ok = enough.call("f", {});
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_DOUBLE_EQ(ok->number(), 1.0);
+  Interp short_by_one(InterpOptions{.max_steps_per_call = 31});
+  ASSERT_TRUE(short_by_one.load(source).is_ok());
+  EXPECT_EQ(short_by_one.call("f", {}).status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(Interp, FunctionValueSurvivesReload) {
+  Interp interp;
+  ASSERT_TRUE(interp.load("func f() { return 1; } let g = f;").is_ok());
+  // The reload frees the first program's text; g still holds its f.
+  ASSERT_TRUE(interp.load("func call_g() { return g(); }").is_ok());
+  EXPECT_FALSE(interp.has_function("f"));
+  const auto result = interp.call("call_g", {});
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_DOUBLE_EQ(result->number(), 1.0);
+}
+
+TEST(Interp, ResolvedFunctionIsReusable) {
+  Interp interp;
+  ASSERT_TRUE(interp.load("func add(a, b) { return a + b; }").is_ok());
+  const Value add = interp.function("add");
+  ASSERT_FALSE(add.is_nil());
+  EXPECT_TRUE(interp.function("missing").is_nil());
+  const Value args[] = {Value(2.0), Value(3.0)};
+  EXPECT_DOUBLE_EQ(interp.invoke(add, args)->number(), 5.0);
+  EXPECT_DOUBLE_EQ(interp.invoke(add, args)->number(), 5.0);  // args left intact
+  EXPECT_FALSE(interp.invoke(Value(1.0), args).is_ok());
+}
+
+}  // namespace
+}  // namespace ipa::script

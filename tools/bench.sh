@@ -23,10 +23,11 @@ fi
 echo "== build benches (Release) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$jobs" \
-  --target bench_engine bench_merge bench_hist bench_staging bench_rpc bench_server
+  --target bench_engine bench_merge bench_hist bench_staging bench_rpc bench_script \
+  bench_server
 
 echo "== run benches =="
-for bench in bench_engine bench_merge bench_hist bench_staging bench_rpc; do
+for bench in bench_engine bench_merge bench_hist bench_staging bench_rpc bench_script; do
   "build-release/bench/$bench" \
     --benchmark_out="$out_dir/$bench.json" \
     --benchmark_out_format=json \
@@ -44,4 +45,5 @@ fi
 echo "== diff against BENCH_batch.json =="
 python3 tools/bench_diff.py BENCH_batch.json \
   "$out_dir/bench_engine.json" "$out_dir/bench_merge.json" "$out_dir/bench_hist.json" \
-  "$out_dir/bench_staging.json" "$out_dir/bench_rpc.json" "$out_dir/bench_server.json"
+  "$out_dir/bench_staging.json" "$out_dir/bench_rpc.json" "$out_dir/bench_script.json" \
+  "$out_dir/bench_server.json"

@@ -11,10 +11,12 @@
 #   1d /debug endpoint smoke: boot build/tools/ipa_site, curl /metrics,
 #      /status and every /debug/* endpoint (tools/debug_smoke.py)
 #   2  sanitizer pass over the fault-sensitive suites (chaos, net, rpc,
-#      obs, common) — address and/or undefined
-#   2u UBSan over the value-heavy suites (data, serialize, xml) and the
-#      wire-facing ones (net, rpc, http, loadgen), where framing
-#      arithmetic and enum decoding would hide undefined behaviour
+#      obs, common) and the PawScript interpreter (script) — address
+#      and/or undefined
+#   2u UBSan over the value-heavy suites (data, serialize, xml, script),
+#      the wire-facing ones (net, rpc, http, loadgen) and the flight
+#      recorder (obs), where framing arithmetic, enum decoding and raw
+#      buffer copies would hide undefined behaviour
 #   T  thread sanitizer over the reactor-backed net/rpc/http suites, the
 #      staging pipeline and the common concurrency primitives
 #   C  Clang thread-safety-analysis build, when clang++ is installed —
@@ -67,25 +69,27 @@ echo "== tier 1d: /debug endpoint smoke against a live site =="
 python3 tools/debug_smoke.py --site build/tools/ipa_site
 
 for s in $sanitizers; do
-  echo "== tier 2: ${s} sanitizer over chaos/net/rpc/obs/common =="
+  echo "== tier 2: ${s} sanitizer over chaos/net/rpc/obs/common/script =="
   cmake -B "build-${s}" -S . -DIPA_SANITIZE="${s}" >/dev/null
   cmake --build "build-${s}" -j "$jobs" \
     --target ipa_test_chaos ipa_test_net ipa_test_rpc ipa_test_obs \
-    ipa_test_common
+    ipa_test_common ipa_test_script
   (cd "build-${s}" && \
-    ctest --output-on-failure -j "$jobs" -L 'chaos|net|rpc|obs|common')
+    ctest --output-on-failure -j "$jobs" -L 'chaos|net|rpc|obs|common|script')
 done
 
 case " $sanitizers " in *" undefined "*)
-  echo "== tier 2u: UBSan over data/serialize/xml + net/rpc/http/loadgen =="
-  # The value-heavy suites (integer narrowing, enum decoding, XML parsing)
-  # plus the wire-facing ones: frame-length arithmetic, epoll event masks
-  # and load-generator statistics are where undefined behaviour would hide.
+  echo "== tier 2u: UBSan over data/serialize/xml/script + net/rpc/http/loadgen + obs =="
+  # The value-heavy suites (integer narrowing, enum decoding, XML parsing,
+  # the interpreter's resolved slots) plus the wire-facing ones: frame-length
+  # arithmetic, epoll event masks and load-generator statistics are where
+  # undefined behaviour would hide; obs covers the flight recorder's copies.
   cmake --build build-undefined -j "$jobs" \
-    --target ipa_test_data ipa_test_serialize ipa_test_xml \
-    ipa_test_net ipa_test_rpc ipa_test_http ipa_test_loadgen
+    --target ipa_test_data ipa_test_serialize ipa_test_xml ipa_test_script \
+    ipa_test_net ipa_test_rpc ipa_test_http ipa_test_loadgen ipa_test_obs
   (cd build-undefined && \
-    ctest --output-on-failure -j "$jobs" -L 'data|serialize|xml|net|rpc|http|loadgen')
+    ctest --output-on-failure -j "$jobs" \
+      -L 'data|serialize|xml|script|net|rpc|http|loadgen|obs')
   ;;
 esac
 
