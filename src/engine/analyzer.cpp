@@ -4,13 +4,6 @@
 
 namespace ipa::engine {
 
-Status Analyzer::process_batch(const data::RecordBatch& batch, aida::Tree& tree) {
-  for (std::size_t row = 0; row < batch.rows(); ++row) {
-    IPA_RETURN_IF_ERROR(process(batch.to_record(row), tree));
-  }
-  return Status::ok();
-}
-
 void CodeBundle::encode(ser::Writer& w) const {
   w.u8(kind == Kind::kScript ? 0 : 1);
   w.string(name);
@@ -77,21 +70,12 @@ Status ScriptAnalyzer::begin(aida::Tree& tree) {
   return result.status().with_prefix("begin()");
 }
 
-Status ScriptAnalyzer::process(const data::Record& record, aida::Tree& tree) {
-  const script::Value args[] = {script::Value(script::make_event_object(&record)),
-                                script::Value(script::make_tree_object(&tree))};
-  return interp_.invoke(process_, args).status().with_prefix("process()");
-}
-
 Status ScriptAnalyzer::process_batch(const data::RecordBatch& batch, aida::Tree& tree) {
-  if (cursor_batch_ != &batch) {
-    cursor_ = script::make_batch_event_object(&batch);
-    cursor_batch_ = &batch;
-  }
-  const script::Value args[] = {script::Value(cursor_),
+  const auto cursor = std::make_shared<script::EventCursor>(&batch);
+  const script::Value args[] = {script::Value(cursor),
                                 script::Value(script::make_tree_object(&tree))};
   for (std::size_t row = 0; row < batch.rows(); ++row) {
-    cursor_->set_row(row);
+    cursor->set_row(row);
     IPA_RETURN_IF_ERROR(interp_.invoke(process_, args).status().with_prefix("process()"));
   }
   return Status::ok();

@@ -1,9 +1,10 @@
 // Analyzer contract and registry.
 //
-// An Analyzer consumes dataset records and fills an AIDA tree. Two
-// implementations: registered C++ plugins (fast path, installed on workers
-// ahead of time) and ScriptAnalyzer (PawScript shipped per session — the
-// paper's interactive path).
+// An Analyzer consumes columnar record batches, the unit the engine reads
+// from a staged part, and fills an AIDA tree. Two implementations:
+// registered C++ plugins (fast path, installed on workers ahead of time)
+// and ScriptAnalyzer (PawScript shipped per session — the paper's
+// interactive path).
 #pragma once
 
 #include <functional>
@@ -15,14 +16,9 @@
 #include "aida/tree.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
-#include "data/record.hpp"
 #include "data/record_batch.hpp"
 #include "engine/code_bundle.hpp"
 #include "script/interp.hpp"
-
-namespace ipa::script {
-class BatchEventObject;
-}  // namespace ipa::script
 
 namespace ipa::engine {
 
@@ -32,13 +28,9 @@ class Analyzer {
 
   /// Book objects; called once per (re)start of an analysis run.
   virtual Status begin(aida::Tree& tree) = 0;
-  /// Called for every record.
-  virtual Status process(const data::Record& record, aida::Tree& tree) = 0;
-  /// Batched hot path: consume a columnar batch in row order. The default
-  /// materializes each row and forwards to process(), so existing plugins
-  /// keep working unmodified; fast analyzers override this to read columns
-  /// by slot id. Must be observably equivalent to calling process() per row.
-  virtual Status process_batch(const data::RecordBatch& batch, aida::Tree& tree);
+  /// Consume one batch in row order, reading columns by schema slot id.
+  /// The result must not depend on how the rows were cut into batches.
+  virtual Status process_batch(const data::RecordBatch& batch, aida::Tree& tree) = 0;
   /// Called when the dataset is exhausted (not on stop/pause).
   virtual Status end(aida::Tree& tree) { (void)tree; return Status::ok(); }
 };
@@ -68,9 +60,8 @@ class ScriptAnalyzer final : public Analyzer {
       const std::string& source, script::InterpOptions options = {});
 
   Status begin(aida::Tree& tree) override;
-  Status process(const data::Record& record, aida::Tree& tree) override;
-  /// Fast path: one cursor object per batch resolves field names to schema
-  /// slots once, then every process(event, tree) call reads columns by index.
+  /// Calls the script's process(event, tree) once per row, with one event
+  /// cursor stepped down the batch.
   Status process_batch(const data::RecordBatch& batch, aida::Tree& tree) override;
   Status end(aida::Tree& tree) override;
 
@@ -83,10 +74,6 @@ class ScriptAnalyzer final : public Analyzer {
 
   script::Interp interp_;
   script::Value process_;  // process(event, tree), resolved once
-  // Cursor reused across process_batch calls: the engine feeds one batch
-  // object for the whole run, so the cursor's name→slot cache stays warm.
-  std::shared_ptr<script::BatchEventObject> cursor_;
-  const data::RecordBatch* cursor_batch_ = nullptr;
 };
 
 /// Build an analyzer from a staged code bundle.

@@ -1,158 +1,76 @@
 #include "script/engine_api.hpp"
 
 namespace ipa::script {
-namespace {
 
-Value value_from_field(const data::Value& field) {
-  if (field.is_int()) return Value(static_cast<double>(field.as_int()));
-  if (field.is_real()) return Value(field.as_real());
-  if (field.is_str()) return Value(field.as_str());
-  List items;
-  items.reserve(field.as_vec().size());
-  for (const double x : field.as_vec()) items.push_back(Value(x));
-  return Value::list(std::move(items));
+Result<Value> EventCursor::call_method(std::string_view method, std::vector<Value>& args) {
+  using CellKind = data::RecordBatch::CellKind;
+  if (method == "get") {
+    IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.get"));
+    IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.get"));
+    const int slot = batch_->schema().slot_of(name);
+    const auto kind =
+        slot == data::Schema::kNoSlot ? CellKind::kNull : batch_->cell_kind(slot, row_);
+    switch (kind) {
+      case CellKind::kNull:
+        return not_found("event.get: no field '" + name + "'");
+      case CellKind::kInt:
+        return Value(static_cast<double>(batch_->cell_int(slot, row_)));
+      case CellKind::kReal:
+        return Value(batch_->cell_real(slot, row_));
+      case CellKind::kStr:
+        return Value(batch_->cell_str(slot, row_));
+      case CellKind::kVec: {
+        const auto vec = batch_->cell_vec(slot, row_);
+        List items;
+        items.reserve(vec.size());
+        for (const double x : vec) items.push_back(Value(x));
+        return Value::list(std::move(items));
+      }
+    }
+    return internal_error("event.get: unreachable cell kind");
+  }
+  if (method == "num") {
+    IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.num"));
+    IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.num"));
+    double fallback = 0;
+    if (args.size() == 2) {
+      IPA_ASSIGN_OR_RETURN(fallback, arg_number(args, 1, "event.num"));
+    }
+    const int slot = batch_->schema().slot_of(name);
+    double out = fallback;
+    if (slot != data::Schema::kNoSlot && batch_->cell_number(slot, row_, &out)) {
+      return Value(out);
+    }
+    return Value(fallback);
+  }
+  if (method == "str") {
+    IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.str"));
+    IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.str"));
+    std::string fallback;
+    if (args.size() == 2) {
+      IPA_ASSIGN_OR_RETURN(fallback, arg_string(args, 1, "event.str"));
+    }
+    const int slot = batch_->schema().slot_of(name);
+    if (slot != data::Schema::kNoSlot && batch_->cell_kind(slot, row_) == CellKind::kStr) {
+      return Value(batch_->cell_str(slot, row_));
+    }
+    return Value(std::move(fallback));
+  }
+  if (method == "has") {
+    IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.has"));
+    IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.has"));
+    const int slot = batch_->schema().slot_of(name);
+    return Value(slot != data::Schema::kNoSlot &&
+                 batch_->cell_kind(slot, row_) != CellKind::kNull);
+  }
+  if (method == "index") {
+    IPA_RETURN_IF_ERROR(check_arity(args, 0, 0, "event.index"));
+    return Value(static_cast<double>(batch_->index(row_)));
+  }
+  return unimplemented("event: no method '" + std::string(method) + "'");
 }
 
-class EventObject final : public NativeObject {
- public:
-  explicit EventObject(const data::Record* record) : record_(record) {}
-
-  std::string_view type_name() const override { return "event"; }
-
-  Result<Value> call_method(std::string_view method, std::vector<Value>& args) override {
-    if (method == "get") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.get"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.get"));
-      const data::Value* field = record_->find(name);
-      if (field == nullptr) return not_found("event.get: no field '" + name + "'");
-      return value_from_field(*field);
-    }
-    if (method == "num") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.num"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.num"));
-      double fallback = 0;
-      if (args.size() == 2) {
-        IPA_ASSIGN_OR_RETURN(fallback, arg_number(args, 1, "event.num"));
-      }
-      return Value(record_->real_or(name, fallback));
-    }
-    if (method == "str") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.str"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.str"));
-      std::string fallback;
-      if (args.size() == 2) {
-        IPA_ASSIGN_OR_RETURN(fallback, arg_string(args, 1, "event.str"));
-      }
-      return Value(record_->str_or(name, fallback));
-    }
-    if (method == "has") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.has"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.has"));
-      return Value(record_->has(name));
-    }
-    if (method == "index") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 0, 0, "event.index"));
-      return Value(static_cast<double>(record_->index()));
-    }
-    return unimplemented("event: no method '" + std::string(method) + "'");
-  }
-
- private:
-  const data::Record* record_;
-};
-
-class BatchEventObjectImpl final : public BatchEventObject {
- public:
-  explicit BatchEventObjectImpl(const data::RecordBatch* batch) : batch_(batch) {}
-
-  std::string_view type_name() const override { return "event"; }
-
-  void set_row(std::size_t row) override { row_ = row; }
-
-  Result<Value> call_method(std::string_view method, std::vector<Value>& args) override {
-    if (method == "get") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.get"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.get"));
-      const int slot = slot_for(name);
-      const auto kind = slot == data::Schema::kNoSlot
-                            ? data::RecordBatch::CellKind::kNull
-                            : batch_->cell_kind(slot, row_);
-      switch (kind) {
-        case data::RecordBatch::CellKind::kNull:
-          return not_found("event.get: no field '" + name + "'");
-        case data::RecordBatch::CellKind::kInt:
-          return Value(static_cast<double>(batch_->cell_int(slot, row_)));
-        case data::RecordBatch::CellKind::kReal:
-          return Value(batch_->cell_real(slot, row_));
-        case data::RecordBatch::CellKind::kStr:
-          return Value(batch_->cell_str(slot, row_));
-        case data::RecordBatch::CellKind::kVec: {
-          const auto vec = batch_->cell_vec(slot, row_);
-          List items;
-          items.reserve(vec.size());
-          for (const double x : vec) items.push_back(Value(x));
-          return Value::list(std::move(items));
-        }
-      }
-      return internal_error("event.get: unreachable cell kind");
-    }
-    if (method == "num") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.num"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.num"));
-      double fallback = 0;
-      if (args.size() == 2) {
-        IPA_ASSIGN_OR_RETURN(fallback, arg_number(args, 1, "event.num"));
-      }
-      const int slot = slot_for(name);
-      double out = fallback;
-      if (slot != data::Schema::kNoSlot && batch_->cell_number(slot, row_, &out)) {
-        return Value(out);
-      }
-      return Value(fallback);
-    }
-    if (method == "str") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 2, "event.str"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.str"));
-      std::string fallback;
-      if (args.size() == 2) {
-        IPA_ASSIGN_OR_RETURN(fallback, arg_string(args, 1, "event.str"));
-      }
-      const int slot = slot_for(name);
-      if (slot != data::Schema::kNoSlot &&
-          batch_->cell_kind(slot, row_) == data::RecordBatch::CellKind::kStr) {
-        return Value(batch_->cell_str(slot, row_));
-      }
-      return Value(std::move(fallback));
-    }
-    if (method == "has") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 1, 1, "event.has"));
-      IPA_ASSIGN_OR_RETURN(const std::string name, arg_string(args, 0, "event.has"));
-      const int slot = slot_for(name);
-      return Value(slot != data::Schema::kNoSlot &&
-                   batch_->cell_kind(slot, row_) != data::RecordBatch::CellKind::kNull);
-    }
-    if (method == "index") {
-      IPA_RETURN_IF_ERROR(check_arity(args, 0, 0, "event.index"));
-      return Value(static_cast<double>(batch_->index(row_)));
-    }
-    return unimplemented("event: no method '" + std::string(method) + "'");
-  }
-
- private:
-  // Only hits are cached: a miss may become a hit later because the reader's
-  // schema keeps interning fields as batches decode new records.
-  int slot_for(const std::string& name) {
-    const auto it = slots_.find(name);
-    if (it != slots_.end()) return it->second;
-    const int slot = batch_->schema().slot_of(name);
-    if (slot != data::Schema::kNoSlot) slots_.emplace(name, slot);
-    return slot;
-  }
-
-  const data::RecordBatch* batch_;
-  std::size_t row_ = 0;
-  std::map<std::string, int, std::less<>> slots_;
-};
+namespace {
 
 class TreeObject final : public NativeObject {
  public:
@@ -315,14 +233,6 @@ class TreeObject final : public NativeObject {
 };
 
 }  // namespace
-
-std::shared_ptr<NativeObject> make_event_object(const data::Record* record) {
-  return std::make_shared<EventObject>(record);
-}
-
-std::shared_ptr<BatchEventObject> make_batch_event_object(const data::RecordBatch* batch) {
-  return std::make_shared<BatchEventObjectImpl>(batch);
-}
 
 std::shared_ptr<NativeObject> make_tree_object(aida::Tree* tree) {
   return std::make_shared<TreeObject>(tree);

@@ -1,10 +1,11 @@
-// Host bindings: expose dataset records and the AIDA tree to PawScript.
+// Host bindings: expose dataset record batches and the AIDA tree to
+// PawScript.
 //
 // This is the contract analysis scripts are written against (mirrors the
 // paper's Java AIDA API used from PNUTS):
 //
 //   func begin(tree)          - book objects, once per (re)start
-//   func process(event, tree) - called for every record
+//   func process(event, tree) - called for every record, in dataset order
 //   func end(tree)            - optional final hook
 //
 //   event.get("field")  -> number | string | list   (kNotFound if absent)
@@ -26,30 +27,30 @@
 #include <memory>
 
 #include "aida/tree.hpp"
-#include "data/record.hpp"
 #include "data/record_batch.hpp"
 #include "script/value.hpp"
 
 namespace ipa::script {
 
-/// Wrap a record for script access. The record must outlive the value
-/// (engines hold the record for the duration of the process() call).
-std::shared_ptr<NativeObject> make_event_object(const data::Record* record);
-
-/// Columnar twin of the event object: one cursor spans a whole RecordBatch,
-/// resolving field names to schema slot ids once and reading columns by
-/// index per row. Scripts see exactly the event API above; the engine moves
-/// the cursor with set_row() between process() calls.
-class BatchEventObject : public NativeObject {
+/// The `event` object: a cursor over one RecordBatch. The analyzer moves it
+/// with set_row() between process() calls. Each method looks its field up
+/// in the batch's schema and reads that row's cell by slot id. The batch
+/// must outlive the cursor.
+class EventCursor final : public NativeObject {
  public:
-  virtual void set_row(std::size_t row) = 0;
+  explicit EventCursor(const data::RecordBatch* batch) : batch_(batch) {}
+
+  void set_row(std::size_t row) { row_ = row; }
+
+  std::string_view type_name() const override { return "event"; }
+  Result<Value> call_method(std::string_view method, std::vector<Value>& args) override;
+
+ private:
+  const data::RecordBatch* batch_;
+  std::size_t row_ = 0;
 };
 
-/// The batch must outlive the cursor; slot resolutions cached by the cursor
-/// stay valid because schema slot ids are append-only.
-std::shared_ptr<BatchEventObject> make_batch_event_object(const data::RecordBatch* batch);
-
-/// Wrap a tree for script access; same lifetime contract.
+/// Wrap a tree for script access. The tree must outlive the value.
 std::shared_ptr<NativeObject> make_tree_object(aida::Tree* tree);
 
 }  // namespace ipa::script

@@ -512,8 +512,11 @@ struct Interp::Impl {
       }
       case Stmt::Kind::kIf:
         return exec_block(test(*stmt.cond, frame) ? stmt.body : stmt.else_body, frame);
+      // Every loop iteration ticks, so a loop with an empty body and no
+      // condition or step (`for (;;) {}`) still runs out of budget.
       case Stmt::Kind::kWhile:
         while (test(*stmt.cond, frame)) {
+          tick(stmt.line);
           const Flow flow = exec_block(stmt.body, frame);
           if (flow == Flow::kBreak) break;
           if (flow == Flow::kReturn) return flow;
@@ -522,6 +525,7 @@ struct Interp::Impl {
       case Stmt::Kind::kFor:
         if (stmt.init) exec(*stmt.init, frame);
         while (stmt.cond == nullptr || test(*stmt.cond, frame)) {
+          tick(stmt.line);
           const Flow flow = exec_block(stmt.body, frame);
           if (flow == Flow::kBreak) break;
           if (flow == Flow::kReturn) return flow;

@@ -30,8 +30,9 @@ class CountingAnalyzer final : public Analyzer {
     tree.put("/count", std::move(*hist));
     return Status::ok();
   }
-  Status process(const data::Record&, aida::Tree& tree) override {
-    (*tree.histogram1d("/count"))->fill(0.5);
+  Status process_batch(const data::RecordBatch& batch, aida::Tree& tree) override {
+    auto hist = tree.histogram1d("/count");
+    for (std::size_t row = 0; row < batch.rows(); ++row) (*hist)->fill(0.5);
     return Status::ok();
   }
 };

@@ -1,10 +1,14 @@
-// Golden equivalence: the batched hot path must be bit-identical to
-// record-at-a-time processing — same fills, same order, same arithmetic —
-// for both the native Higgs plugin and the PawScript path.
+// Golden batch-size invariance: an analyzer must produce byte-identical
+// trees whether it is fed one row at a time (the scalar reference) or any
+// other cut of the same rows into batches — for both the native Higgs
+// plugin and the PawScript path, and through the full engine loop.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "aida/tree.hpp"
 #include "data/dataset.hpp"
@@ -34,35 +38,40 @@ class BatchGoldenTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
-  // Reference: record-at-a-time over the whole dataset.
-  ser::Bytes run_scalar(engine::Analyzer& analyzer) {
+  // Runs a fresh analyzer over the whole dataset straight off the reader,
+  // cutting batches by cycling through `chunks`.
+  ser::Bytes run(const std::function<std::unique_ptr<engine::Analyzer>()>& make,
+                 const std::vector<std::uint64_t>& chunks) {
+    const std::unique_ptr<engine::Analyzer> analyzer = make();
     aida::Tree tree;
-    EXPECT_TRUE(analyzer.begin(tree).is_ok());
-    auto records = data::read_all(path_);
-    EXPECT_TRUE(records.is_ok());
-    for (const data::Record& record : *records) {
-      EXPECT_TRUE(analyzer.process(record, tree).is_ok());
-    }
-    EXPECT_TRUE(analyzer.end(tree).is_ok());
-    return tree.serialize();
-  }
-
-  // Batched path straight off the reader, uneven chunk size on purpose.
-  ser::Bytes run_batched(engine::Analyzer& analyzer, std::uint64_t chunk) {
-    aida::Tree tree;
-    EXPECT_TRUE(analyzer.begin(tree).is_ok());
+    EXPECT_TRUE(analyzer->begin(tree).is_ok());
     auto reader = data::DatasetReader::open(path_);
     EXPECT_TRUE(reader.is_ok());
     data::RecordBatch batch = reader->make_batch();
-    while (true) {
+    for (std::size_t i = 0;; ++i) {
       batch.clear();
-      auto appended = reader->read_batch(batch, chunk);
+      auto appended = reader->read_batch(batch, chunks[i % chunks.size()]);
       EXPECT_TRUE(appended.is_ok()) << appended.status().to_string();
       if (*appended == 0) break;
-      EXPECT_TRUE(analyzer.process_batch(batch, tree).is_ok());
+      EXPECT_TRUE(analyzer->process_batch(batch, tree).is_ok());
     }
-    EXPECT_TRUE(analyzer.end(tree).is_ok());
+    EXPECT_TRUE(analyzer->end(tree).is_ok());
     return tree.serialize();
+  }
+
+  // Every batch cut must match the one-row-at-a-time reference.
+  void expect_batch_size_invariant(
+      const std::function<std::unique_ptr<engine::Analyzer>()>& make) {
+    const ser::Bytes reference = run(make, {1});
+    EXPECT_EQ(run(make, {7}), reference) << "chunk 7";
+    EXPECT_EQ(run(make, {256}), reference) << "chunk 256";
+    EXPECT_EQ(run(make, {5, 1, 64, 2, 256, 31}), reference) << "uneven schedule";
+  }
+
+  static std::unique_ptr<engine::Analyzer> higgs_plugin() {
+    auto analyzer = engine::AnalyzerRegistry::instance().create("higgs-mass");
+    EXPECT_TRUE(analyzer.is_ok());
+    return std::move(*analyzer);
   }
 
   std::filesystem::path dir_;
@@ -70,53 +79,20 @@ class BatchGoldenTest : public ::testing::Test {
 };
 
 TEST_F(BatchGoldenTest, HiggsPluginScalarAndBatchBitIdentical) {
-  auto scalar = engine::AnalyzerRegistry::instance().create("higgs-mass");
-  ASSERT_TRUE(scalar.is_ok());
-  auto batched = engine::AnalyzerRegistry::instance().create("higgs-mass");
-  ASSERT_TRUE(batched.is_ok());
-  const ser::Bytes reference = run_scalar(**scalar);
-  for (const std::uint64_t chunk : {1u, 7u, 64u, 1000u}) {
-    EXPECT_EQ(run_batched(**batched, chunk), reference) << "chunk " << chunk;
-  }
+  expect_batch_size_invariant(higgs_plugin);
 }
 
 TEST_F(BatchGoldenTest, PawScriptScalarAndBatchBitIdentical) {
-  auto scalar = engine::ScriptAnalyzer::compile(higgs_script());
-  ASSERT_TRUE(scalar.is_ok());
-  auto batched = engine::ScriptAnalyzer::compile(higgs_script());
-  ASSERT_TRUE(batched.is_ok());
-  const ser::Bytes reference = run_scalar(**scalar);
-  for (const std::uint64_t chunk : {3u, 128u}) {
-    EXPECT_EQ(run_batched(**batched, chunk), reference) << "chunk " << chunk;
-  }
-}
-
-TEST_F(BatchGoldenTest, DefaultProcessBatchFallbackMatchesScalar) {
-  // An analyzer that does NOT override process_batch must behave identically
-  // through the batched engine loop (default falls back to process()).
-  class CountingAnalyzer final : public engine::Analyzer {
-   public:
-    Status begin(aida::Tree& tree) override {
-      auto hist = aida::Histogram1D::create("ntrk", 30, 0, 60);
-      IPA_RETURN_IF_ERROR(hist.status());
-      tree.put("/n", std::move(*hist));
-      return Status::ok();
-    }
-    Status process(const data::Record& record, aida::Tree& tree) override {
-      (*tree.histogram1d("/n"))->fill(record.real_or("ntrk"));
-      return Status::ok();
-    }
-  };
-  CountingAnalyzer scalar;
-  CountingAnalyzer batched;
-  EXPECT_EQ(run_batched(batched, 50), run_scalar(scalar));
+  expect_batch_size_invariant([]() -> std::unique_ptr<engine::Analyzer> {
+    auto analyzer = engine::ScriptAnalyzer::compile(higgs_script());
+    EXPECT_TRUE(analyzer.is_ok());
+    return std::move(*analyzer);
+  });
 }
 
 TEST_F(BatchGoldenTest, EngineRunMatchesManualScalarLoop) {
-  // Full engine (batched process_loop) vs the manual reference loop.
-  auto reference_analyzer = engine::AnalyzerRegistry::instance().create("higgs-mass");
-  ASSERT_TRUE(reference_analyzer.is_ok());
-  const ser::Bytes reference = run_scalar(**reference_analyzer);
+  // Full engine (batched process_loop) vs the one-row-at-a-time reference.
+  const ser::Bytes reference = run(higgs_plugin, {1});
 
   engine::AnalysisEngine eng({.snapshot_every = 100, .batch_size = 37, .interp = {}});
   ASSERT_TRUE(eng.stage_dataset(path_).is_ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "script/interp.hpp"
 
 namespace ipa::script {
@@ -15,7 +19,8 @@ class EngineApiTest : public ::testing::Test {
     record_.set("ntrk", std::int64_t{5});
     record_.set("tag", "signal");
     record_.set("px", data::Value::RealVec{1.0, 2.0, 3.0});
-    interp_.set_global("event", Value(make_event_object(&record_)));
+    batch_ = data::RecordBatch::from_records({record_});
+    interp_.set_global("event", Value(std::make_shared<EventCursor>(&batch_)));
     interp_.set_global("tree", Value(make_tree_object(&tree_)));
   }
 
@@ -26,6 +31,7 @@ class EngineApiTest : public ::testing::Test {
   }
 
   data::Record record_;
+  data::RecordBatch batch_;  // record_ as the one row the event cursor reads
   aida::Tree tree_;
   Interp interp_;
 };
@@ -58,6 +64,50 @@ TEST_F(EngineApiTest, EventFallbacks) {
 
 TEST_F(EngineApiTest, EventGetMissingFieldIsError) {
   EXPECT_FALSE(run(R"(return event.get("absent");)").is_ok());
+}
+
+TEST_F(EngineApiTest, OverflowCellsReadAsTheRecord) {
+  // "x" and "n" change kind on row 1, so the batch serves those two cells
+  // from its overflow table instead of the typed column.
+  data::Record first(0);
+  first.set("x", 2.5);
+  first.set("n", std::int64_t{3});
+  data::Record second(1);
+  second.set("x", "high");
+  second.set("n", data::Value::RealVec{1.0, 2.0});
+  const std::vector<data::Record> records{first, second};
+  const auto batch = data::RecordBatch::from_records(records);
+  auto cursor = std::make_shared<EventCursor>(&batch);
+  interp_.set_global("event", Value(cursor));
+  ASSERT_TRUE(interp_.load(R"(
+func probe(name) {
+  return [event.get(name), event.num(name, -1), event.str(name, "none"), event.has(name)];
+}
+)").is_ok());
+  for (std::size_t row = 0; row < records.size(); ++row) {
+    cursor->set_row(row);
+    for (const std::string name : {"x", "n"}) {
+      SCOPED_TRACE("row " + std::to_string(row) + " field " + name);
+      const auto result = interp_.call("probe", {Value(name)});
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      const List& got = result->list();
+      const data::Value& field = *records[row].find(name);
+      if (field.is_vec()) {
+        ASSERT_TRUE(got[0].is_list());
+        ASSERT_EQ(got[0].list().size(), field.as_vec().size());
+        for (std::size_t i = 0; i < field.as_vec().size(); ++i) {
+          EXPECT_EQ(got[0].list()[i].number(), field.as_vec()[i]);
+        }
+      } else if (field.is_str()) {
+        EXPECT_EQ(got[0].string(), field.as_str());
+      } else {
+        EXPECT_EQ(got[0].number(), records[row].real_or(name));
+      }
+      EXPECT_EQ(got[1].number(), records[row].real_or(name, -1));
+      EXPECT_EQ(got[2].string(), records[row].str_or(name, "none"));
+      EXPECT_EQ(got[3].boolean(), records[row].has(name));
+    }
+  }
 }
 
 TEST_F(EngineApiTest, UnknownMethodIsError) {
@@ -170,7 +220,7 @@ func end(tree) { print("analysis complete"); }
   ASSERT_TRUE(interp_.load(source).is_ok());
   Value tree_obj(make_tree_object(&tree_));
   ASSERT_TRUE(interp_.call("begin", {tree_obj}).is_ok());
-  Value event_obj(make_event_object(&record_));
+  Value event_obj(std::make_shared<EventCursor>(&batch_));
   ASSERT_TRUE(interp_.call("process", {event_obj, tree_obj}).is_ok());
   ASSERT_TRUE(interp_.call("end", {tree_obj}).is_ok());
   auto hist = tree_.histogram1d("/e");

@@ -213,11 +213,16 @@ TEST(Interp, ReloadReplacesFunctionsKeepsGlobals) {
 }
 
 TEST(Interp, StepBudgetStopsRunawayLoops) {
-  Interp interp(InterpOptions{.max_steps_per_call = 10000});
-  ASSERT_TRUE(interp.load("func spin() { while (true) { } }").is_ok());
-  const auto result = interp.call("spin", {});
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  // The `for` loops have no condition, no step and an empty body: only the
+  // per-iteration tick counts against the budget.
+  for (const char* loop : {"while (true) { }", "for (;;) {}", "for (let i = 0;;) {}"}) {
+    SCOPED_TRACE(loop);
+    Interp interp(InterpOptions{.max_steps_per_call = 100});
+    ASSERT_TRUE(interp.load(std::string("func spin() { ") + loop + " }").is_ok());
+    const auto result = interp.call("spin", {});
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  }
 }
 
 TEST(Interp, RuntimeErrorsCarryLineNumbers) {
@@ -463,8 +468,9 @@ TEST(Resolver, StepBudgetStopsInfiniteLoopsAnywhere) {
 }
 
 TEST(Resolver, StepBudgetCountsEveryStatementAndExpression) {
-  // 32 steps: 16 statements and expressions outside the loop body and
-  // callee, plus 2 iterations of an 8-step body, test and step.
+  // 34 steps: 16 statements and expressions outside the loop body and
+  // callee, plus 2 iterations of a 9-step iteration tick, body, test and
+  // step.
   const char* source = R"(
 func g(a) { return a; }
 func f() {
@@ -472,12 +478,12 @@ func f() {
   for (let i = 0; i < 2; i += 1) { s += g(i); }
   return s;
 })";
-  Interp enough(InterpOptions{.max_steps_per_call = 32});
+  Interp enough(InterpOptions{.max_steps_per_call = 34});
   ASSERT_TRUE(enough.load(source).is_ok());
   const auto ok = enough.call("f", {});
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_DOUBLE_EQ(ok->number(), 1.0);
-  Interp short_by_one(InterpOptions{.max_steps_per_call = 31});
+  Interp short_by_one(InterpOptions{.max_steps_per_call = 33});
   ASSERT_TRUE(short_by_one.load(source).is_ok());
   EXPECT_EQ(short_by_one.call("f", {}).status().code(), StatusCode::kResourceExhausted);
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <semaphore>
 #include <thread>
 
@@ -469,26 +470,73 @@ TEST_F(StagingTest, SlowSeatsDoNotSerializeTheFanOut) {
   fixture.server->stop();
 }
 
+/// Handle whose control() announces that it is in flight, then holds the
+/// call until the test opens the gate: a fan-out RPC that stays in flight
+/// for exactly as long as the test needs it to.
+class GatedHandle final : public services::EngineHandle {
+ public:
+  GatedHandle(std::string id, std::counting_semaphore<16>& in_flight,
+              std::shared_future<void> gate)
+      : id_(std::move(id)), in_flight_(in_flight), gate_(std::move(gate)) {}
+
+  const std::string& engine_id() const override { return id_; }
+  Status stage_dataset(const std::string&) override { return Status::ok(); }
+  Status stage_code(const engine::CodeBundle&) override { return Status::ok(); }
+  Status control(services::ControlVerb, std::uint64_t) override {
+    in_flight_.release();
+    gate_.wait();
+    return Status::ok();
+  }
+  services::EngineReport report() const override {
+    services::EngineReport report;
+    report.engine_id = id_;
+    return report;
+  }
+
+ private:
+  std::string id_;
+  std::counting_semaphore<16>& in_flight_;
+  std::shared_future<void> gate_;
+};
+
 TEST_F(StagingTest, SessionStaysResponsiveDuringSlowFanOut) {
-  DelayedSession fixture = DelayedSession::start("responsive", 4);
-  ASSERT_TRUE(fixture.session->distribute_parts(fake_split(4)).is_ok());
+  constexpr int kSeats = 4;
+  constexpr auto kBound = std::chrono::seconds(5);
+  std::counting_semaphore<16> in_flight(0);
+  std::promise<void> open_gate;
+  const std::shared_future<void> gate = open_gate.get_future().share();
 
-  // Fan a slow control verb out on a helper thread; the session lock must
-  // not be held across the delayed RPCs, so state queries return instantly.
-  std::thread slow([&] { EXPECT_TRUE(fixture.session->control(services::ControlVerb::kRun).is_ok()); });
-  // ipa-lint: allow(sleep-sync) -- places the state query inside the fake transport's kDelayMs RPC
-  // window (4x margin); the elapsed-time assertion below is the test.
-  std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs / 4));
-  const auto started = Clock::now();
-  EXPECT_EQ(fixture.session->state(), services::SessionState::kDatasetStaged);
-  (void)fixture.session->phase_timings();
-  (void)fixture.session->degraded();
-  EXPECT_LT(seconds_since(started), kDelayMs / 2 / 1000.0)
-      << "a state query blocked behind an in-flight fan-out RPC";
-  slow.join();
+  services::Session session("s-responsive", "tester", kSeats, "interactive");
+  std::vector<std::unique_ptr<services::EngineHandle>> engines;
+  for (int i = 0; i < kSeats; ++i) {
+    const std::string id = "eng-" + std::to_string(i);
+    session.mark_ready(id);
+    engines.push_back(std::make_unique<GatedHandle>(id, in_flight, gate));
+  }
+  ASSERT_TRUE(session.attach_engines(std::move(engines)).is_ok());
+  ASSERT_TRUE(session.distribute_parts(fake_split(kSeats)).is_ok());
 
-  ASSERT_TRUE(fixture.session->close().is_ok());
-  fixture.server->stop();
+  // Hold a control fan-out in flight on every seat; the session lock must
+  // not be held across those RPCs, so the state queries still return.
+  std::thread fan_out([&] { EXPECT_TRUE(session.control(services::ControlVerb::kRun).is_ok()); });
+  const auto deadline = Clock::now() + kBound;
+  int held = 0;
+  while (held < kSeats && in_flight.try_acquire_until(deadline)) ++held;
+  EXPECT_EQ(held, kSeats) << "the control fan-out never reached every seat";
+
+  auto queries = std::async(std::launch::async, [&] {
+    const services::SessionState state = session.state();
+    (void)session.phase_timings();
+    (void)session.degraded();
+    return state;
+  });
+  const bool returned = queries.wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "a state query blocked behind an in-flight fan-out RPC";
+
+  open_gate.set_value();
+  fan_out.join();
+  EXPECT_EQ(queries.get(), services::SessionState::kDatasetStaged);
+  ASSERT_TRUE(session.close().is_ok());
 }
 
 /// Handle with scripted outcome: optional failure after an optional sleep.

@@ -12,7 +12,8 @@ benchmark regresses when its items_per_second drops below
 floor * (1 - tolerance); a gate entry may carry its own `tolerance`
 overriding the file-level one (used to hold the instrumented engine hot path
 within 3%). Gated benchmarks missing from the current run fail the gate (a
-renamed benchmark must come with a baseline update).
+renamed benchmark must come with a baseline update), and so does a gate
+name listed twice in BASELINE (two floors for one benchmark).
 
 SLO mode (--slo): REPORT files are `bench_load --report` JSON. Every
 violation prints as one line with the gate name, the limit, the measured
@@ -85,6 +86,11 @@ def main(argv):
 
     default_tolerance = baseline.get("tolerance", 0.15)
     failures = []
+    seen = set()
+    for gate in baseline["gates"]:
+        if gate["name"] in seen:
+            failures.append(f"{gate['name']}: gated twice in {argv[1]}")
+        seen.add(gate["name"])
     print(f"{'benchmark':44} {'floor':>12} {'current':>12} {'delta':>8}  verdict")
     for gate in baseline["gates"]:
         name, floor = gate["name"], gate["min_items_per_second"]
