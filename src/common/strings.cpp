@@ -109,6 +109,24 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) out += format("\\u%04x", c);
+        else out.push_back(c);
+    }
+  }
+  return out;
+}
+
 std::string human_bytes(std::uint64_t bytes) {
   static constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   double value = static_cast<double>(bytes);

@@ -30,6 +30,10 @@ bool iequals(std::string_view a, std::string_view b);
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
 
+/// `text` escaped for a JSON string literal (quotes, backslashes, control
+/// characters).
+std::string json_escape(std::string_view text);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

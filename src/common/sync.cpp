@@ -12,7 +12,6 @@ const char* to_string(LockRank rank) {
   switch (rank) {
     case LockRank::kUnranked: return "unranked";
     case LockRank::kIds: return "ids";
-    case LockRank::kStopFlag: return "stop-flag";
     case LockRank::kLog: return "log";
     case LockRank::kFlight: return "flight";
     case LockRank::kMetrics: return "metrics";

@@ -102,8 +102,6 @@ enum class LockRank : int {
 
   // --- leaves: never hold anything else while these are held ----------
   kIds = 10,          // common/ids random-word generator
-  kStopFlag = 15,     // ipa::StopFlag (worker heartbeat, manager monitor):
-                      //   held only to set or wait on the flag
   kLog = 20,          // common/log sink + stderr emit locks
   kFlight = 25,       // obs::FlightRecorder journal table (cold: registration
                       //   and snapshots only; the event write path is lock-free)
@@ -126,7 +124,7 @@ enum class LockRank : int {
   // --- analysis state --------------------------------------------------
   kEngineTree = 120,  // AnalysisEngine results tree (taken under kEngine)
   kEngine = 130,      // AnalysisEngine control state
-  kAida = 140,        // AidaManager merge state (holds kQueue via pool)
+  kAida = 140,        // AidaManager merge state (pins snapshots; merges unlocked)
   kSession = 150,     // services::Session seats + phase timings
   kResourceSet = 160, // rpc::ResourceSet instance maps (holds kIds)
   kManager = 170,     // ManagerNode compute-element slot
@@ -502,32 +500,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// One-way stop signal for a background loop: the owner calls request()
-/// once, the loop sleeps between rounds in wait_for() and leaves as soon as
-/// it returns true.
-class StopFlag {
- public:
-  void request() {
-    {
-      LockGuard lock(mutex_);
-      stopped_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  /// Sleep up to `timeout`; true once stop was requested.
-  template <typename Rep, typename Period>
-  bool wait_for(const std::chrono::duration<Rep, Period>& timeout) {
-    UniqueLock lock(mutex_);
-    return cv_.wait_for(lock, timeout, [this]() IPA_REQUIRES(mutex_) { return stopped_; });
-  }
-
- private:
-  Mutex mutex_{LockRank::kStopFlag, "stop-flag"};
-  CondVar cv_;
-  bool stopped_ IPA_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace ipa

@@ -30,10 +30,7 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-ThreadPool& staging_pool() {
-  // 16 is the paper's node count; below that the fan-out could not match
-  // the parallel-transfer model even when cores are scarce, and the tasks
-  // spend their time waiting, not computing.
+ThreadPool& site_pool() {
   static ThreadPool pool(
       std::max<std::size_t>(std::thread::hardware_concurrency(), 16));
   return pool;

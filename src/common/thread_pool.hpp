@@ -1,7 +1,7 @@
 // Fixed-size thread pool over MpmcQueue.
 //
-// Used for parallel part transfers (the paper's "transfers are done in
-// parallel") and for running in-process analysis engines in functional mode.
+// site_pool() runs the site's background work, including the parallel part
+// transfers (the paper's "transfers are done in parallel").
 #pragma once
 
 #include <functional>
@@ -47,10 +47,10 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
 };
 
-/// Process-shared pool for staging work: part writer tasks and per-seat
-/// RPC fan-out. The tasks are latency-bound (disk and network waits), so
-/// the pool is sized generously rather than to the core count. Created on
-/// first use, joined at process exit.
-ThreadPool& staging_pool();
+/// The site's one background pool: part writers, per-seat fan-out and
+/// periodic jobs (net/periodic.hpp). The tasks mostly wait on disks and
+/// sockets, so it has at least 16 threads (the paper's node count)
+/// whatever the core count. Created on first use, joined at exit.
+ThreadPool& site_pool();
 
 }  // namespace ipa

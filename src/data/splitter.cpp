@@ -242,7 +242,7 @@ Result<SplitResult> split_dataset(const std::string& source_path, const std::str
   IPA_ASSIGN_OR_RETURN(const std::vector<Boundary> bounds,
                        place_boundaries(source_path, index, reader.size(), num_parts));
 
-  // One writer task per part on the shared staging pool (the paper:
+  // One writer task per part on the shared site pool (the paper:
   // "transfers are done in parallel"). Results are collected in part order,
   // so the first failing part determines the error deterministically.
   const DatasetInfo& info = reader.info();
@@ -251,7 +251,7 @@ Result<SplitResult> split_dataset(const std::string& source_path, const std::str
   for (int k = 0; k < num_parts; ++k) {
     const Boundary from = bounds[static_cast<std::size_t>(k)];
     const Boundary to = bounds[static_cast<std::size_t>(k) + 1];
-    parts.push_back(staging_pool().submit([&source_path, &info, &index, from, to, k, num_parts,
+    parts.push_back(site_pool().submit([&source_path, &info, &index, from, to, k, num_parts,
                                            &out_prefix] {
       return write_part(source_path, info, index, from, to, k, num_parts, out_prefix);
     }));

@@ -9,7 +9,7 @@
 // sparse offset index: it gives the cumulative framed bytes at every
 // stride-th record, so each boundary walks the frame headers of only the one
 // index block it falls in. The parts are then written concurrently on the
-// shared staging pool. Each task walks and checks its own frame headers
+// shared site pool. Each task walks and checks its own frame headers
 // while it copies them in runs: the frames must tile its byte range exactly,
 // with the last part ending at the footer, so together the tasks check that
 // the whole record region tiles. The output bytes are identical to a

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/strings.hpp"
+
 namespace ipa::loadgen {
 namespace {
 
@@ -27,15 +29,6 @@ void check(SloResult& out, const std::string& gate, double limit, double actual)
 }
 
 double rate(double part, double whole) { return whole <= 0 ? 0.0 : part / whole; }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string json_number(double v) {
   if (std::isinf(v)) return "1e308";  // JSON has no infinity
@@ -251,7 +244,7 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
                                const ServerScrape& scrape, const SloResult& result) {
   const std::map<std::string, HistogramSeries>& phases = scrape.phases;
   std::string out = "{\n";
-  out += "  \"profile\": \"" + json_escape(profile.name) + "\",\n";
+  out += "  \"profile\": \"" + strings::json_escape(profile.name) + "\",\n";
   out += std::string("  \"ok\": ") + (result.ok() ? "true" : "false") + ",\n";
 
   out += "  \"scenario\": {";
@@ -271,7 +264,7 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
   for (const auto& [op, s] : report.ops) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(op) + "\": {";
+    out += "\"" + strings::json_escape(op) + "\": {";
     out += "\"count\": " + std::to_string(s.count);
     out += ", \"errors\": " + std::to_string(s.errors);
     out += ", \"rejects\": " + std::to_string(s.rejects);
@@ -284,33 +277,22 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
   }
   out += "},\n";
 
-  out += "  \"phases\": {";
-  first = true;
-  for (const auto& [phase, series] : phases) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + json_escape(phase) + "\": {";
-    out += "\"count\": " + std::to_string(series.count);
-    out += ", \"sum_s\": " + json_number(series.sum);
-    out += ", \"p50_s\": " + json_number(series.quantile(0.50));
-    out += ", \"p95_s\": " + json_number(series.quantile(0.95));
-    out += "}";
+  for (const auto& [key, family] : {std::pair{"phases", &phases},
+                                     std::pair{"queue_delay", &scrape.queue_delay}}) {
+    out += std::string("  \"") + key + "\": {";
+    first = true;
+    for (const auto& [label, series] : *family) {
+      if (!first) out += ", ";
+      first = false;
+      out += "\"" + strings::json_escape(label) + "\": {";
+      out += "\"count\": " + std::to_string(series.count);
+      out += ", \"sum_s\": " + json_number(series.sum);
+      out += ", \"p50_s\": " + json_number(series.quantile(0.50));
+      out += ", \"p95_s\": " + json_number(series.quantile(0.95));
+      out += "}";
+    }
+    out += "},\n";
   }
-  out += "},\n";
-
-  out += "  \"queue_delay\": {";
-  first = true;
-  for (const auto& [server, series] : scrape.queue_delay) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + json_escape(server) + "\": {";
-    out += "\"count\": " + std::to_string(series.count);
-    out += ", \"sum_s\": " + json_number(series.sum);
-    out += ", \"p50_s\": " + json_number(series.quantile(0.50));
-    out += ", \"p95_s\": " + json_number(series.quantile(0.95));
-    out += "}";
-  }
-  out += "},\n";
 
   out += "  \"locks\": {";
   first = true;
@@ -318,7 +300,7 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
     if (!first) out += ", ";
     first = false;
     const auto wait = scrape.lock_wait_s.find(rank);
-    out += "\"" + json_escape(rank) + "\": {";
+    out += "\"" + strings::json_escape(rank) + "\": {";
     out += "\"contended\": " + json_number(contended);
     out += ", \"wait_s\": " +
            json_number(wait == scrape.lock_wait_s.end() ? 0.0 : wait->second);
@@ -331,7 +313,8 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
   for (const SloViolation& v : result.violations) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"gate\": \"" + json_escape(v.gate) + "\", \"limit\": " + json_number(v.limit) +
+    out += "{\"gate\": \"" + strings::json_escape(v.gate) +
+           "\", \"limit\": " + json_number(v.limit) +
            ", \"actual\": " + json_number(v.actual) + "}";
   }
   out += "]\n}\n";

@@ -278,6 +278,15 @@ void Reactor::fire_due_timers(double now) {
   }
 }
 
+int Reactor::timer_wait_ms(double now) const {
+  // Sleep past empty slots to the next occupied one; add_timer() wakes the
+  // loop for anything earlier.
+  std::size_t ahead = 1;
+  while (ahead < wheel_.size() && wheel_[(last_tick_ + ahead) % wheel_.size()].empty()) ++ahead;
+  const double due_s = static_cast<double>(last_tick_ + ahead) * options_.tick_s;
+  return std::clamp(static_cast<int>(std::ceil((due_s - now) * 1000.0)), 1, kMaxWaitMs);
+}
+
 void Reactor::loop() {
   loop_thread_id_.store(&t_loop_marker, std::memory_order_release);
   std::vector<epoll_event> events(64);
@@ -285,9 +294,7 @@ void Reactor::loop() {
     int timeout_ms = kMaxWaitMs;
     {
       LockGuard lock(mutex_);
-      if (timer_count_ > 0) {
-        timeout_ms = std::max(1, static_cast<int>(options_.tick_s * 1000.0));
-      }
+      if (timer_count_ > 0) timeout_ms = timer_wait_ms(WallClock::instance().now());
     }
     const int n = ::epoll_wait(epoll_fd_.get(), events.data(),
                                static_cast<int>(events.size()), timeout_ms);
@@ -371,11 +378,6 @@ Result<std::shared_ptr<Stream>> Stream::adopt(Reactor& reactor, Fd fd, std::stri
     });
   }
   return stream;
-}
-
-std::size_t Stream::pending_write_bytes() const {
-  LockGuard lock(mutex_);
-  return output_.size();
 }
 
 void Stream::send(std::string bytes, bool close_after) {

@@ -117,6 +117,8 @@ class Reactor {
   void drain_wakeup();
   void run_posted();
   void fire_due_timers(double now);
+  /// epoll_wait timeout that sleeps until the next occupied wheel slot.
+  int timer_wait_ms(double now) const IPA_REQUIRES(mutex_);
   void wake();
 
   ReactorOptions options_;
@@ -184,9 +186,6 @@ class Stream : public std::enable_shared_from_this<Stream> {
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
   const std::string& peer() const { return peer_; }
-
-  /// Bytes currently queued for write (tests/backpressure probes).
-  std::size_t pending_write_bytes() const;
 
  private:
   Stream(Reactor& reactor, Fd fd, std::string peer, StreamOptions options, DataFn on_data,

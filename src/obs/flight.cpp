@@ -23,29 +23,6 @@ void copy_truncated(char* dst, std::size_t dst_size, std::string_view src) {
   dst[n] = '\0';
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(FlightKind kind) {
@@ -125,24 +102,39 @@ std::vector<FlightEvent> FlightJournal::snapshot(std::size_t max_events) const {
 FlightRecorder::FlightRecorder(std::size_t journal_capacity)
     : journal_capacity_(journal_capacity) {}
 
-std::shared_ptr<FlightJournal> FlightRecorder::adopt(std::string name) {
+std::shared_ptr<FlightJournal> FlightRecorder::add(std::string name,
+                                                   std::weak_ptr<const void> owner) {
   auto journal = std::make_shared<FlightJournal>(std::move(name), journal_capacity_);
+  if (owner.expired()) owner = journal;  // adopted: owned by its own entry
   LockGuard lock(mutex_);
-  journals_.push_back(journal);
+  // The table grows here, so here exited threads' journals beyond the
+  // newest kRetainedJournals go.
+  std::size_t exited = 0;
+  for (std::size_t i = journals_.size(); i-- > 0;) {
+    if (journals_[i].owner.expired() && ++exited > kRetainedJournals) {
+      journals_.erase(journals_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  journals_.push_back({journal, std::move(owner)});
   return journal;
+}
+
+std::shared_ptr<FlightJournal> FlightRecorder::adopt(std::string name) {
+  return add(std::move(name), {});
 }
 
 FlightJournal& FlightRecorder::local() {
   struct ThreadSlot {
     FlightRecorder* owner = nullptr;
     std::shared_ptr<FlightJournal> journal;
+    std::shared_ptr<const int> alive = std::make_shared<const int>(0);  // dies with the thread
   };
   thread_local ThreadSlot slot;
   if (slot.owner != this) {
     static std::atomic<std::uint64_t> next_thread{0};
-    slot.journal = adopt(strings::format(
+    slot.journal = add(strings::format(
         "thread-%llu",
-        static_cast<unsigned long long>(next_thread.fetch_add(1))));
+        static_cast<unsigned long long>(next_thread.fetch_add(1))), slot.alive);
     slot.owner = this;
   }
   return *slot.journal;
@@ -152,7 +144,7 @@ std::vector<ThreadFlight> FlightRecorder::snapshot(std::size_t max_per_thread) c
   std::vector<std::shared_ptr<FlightJournal>> journals;
   {
     LockGuard lock(mutex_);
-    journals = journals_;
+    for (const Entry& entry : journals_) journals.push_back(entry.journal);
   }
   std::vector<ThreadFlight> out;
   out.reserve(journals.size());
@@ -173,7 +165,7 @@ std::string FlightRecorder::render_json(std::size_t max_per_thread) const {
   for (const ThreadFlight& thread : threads) {
     if (!first_thread) body += ',';
     first_thread = false;
-    body += "{\"thread\":\"" + json_escape(thread.thread) + "\"";
+    body += "{\"thread\":\"" + strings::json_escape(thread.thread) + "\"";
     body += ",\"total\":" + std::to_string(thread.total);
     body += ",\"events\":[";
     bool first_event = true;
@@ -182,9 +174,9 @@ std::string FlightRecorder::render_json(std::size_t max_per_thread) const {
       first_event = false;
       body += "{\"t\":" + strings::format("%.6f", event.t);
       body += ",\"kind\":\"" + std::string(to_string(event.kind)) + "\"";
-      body += ",\"what\":\"" + json_escape(event.what) + "\"";
+      body += ",\"what\":\"" + strings::json_escape(event.what) + "\"";
       if (event.detail[0] != '\0') {
-        body += ",\"detail\":\"" + json_escape(event.detail) + "\"";
+        body += ",\"detail\":\"" + strings::json_escape(event.detail) + "\"";
       }
       if (event.a != 0) body += ",\"a\":" + std::to_string(event.a);
       if (event.b != 0) body += ",\"b\":" + std::to_string(event.b);

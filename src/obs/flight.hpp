@@ -97,9 +97,12 @@ struct ThreadFlight {
 };
 
 /// Process-wide table of per-thread journals. Journals are held by
-/// shared_ptr so a snapshot taken after a thread exits still sees its tail.
+/// shared_ptr so a snapshot taken after a thread exits still sees its tail;
+/// of the exited threads' journals only the newest kRetainedJournals stay.
 class FlightRecorder {
  public:
+  static constexpr std::size_t kRetainedJournals = 16;
+
   explicit FlightRecorder(std::size_t journal_capacity = 256);
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -109,6 +112,7 @@ class FlightRecorder {
   FlightJournal& local();
 
   /// Register an explicitly-named journal (tests, dedicated components).
+  /// It is never dropped.
   std::shared_ptr<FlightJournal> adopt(std::string name);
 
   /// Per-thread snapshots, registration order, each newest-first.
@@ -131,9 +135,15 @@ class FlightRecorder {
   static void install_crash_handler();
 
  private:
+  struct Entry {
+    std::shared_ptr<FlightJournal> journal;
+    std::weak_ptr<const void> owner;  // expires when the thread exits; adopt(): the journal
+  };
+  std::shared_ptr<FlightJournal> add(std::string name, std::weak_ptr<const void> owner);
+
   const std::size_t journal_capacity_;
   mutable Mutex mutex_{LockRank::kFlight, "flight-recorder"};
-  std::vector<std::shared_ptr<FlightJournal>> journals_ IPA_GUARDED_BY(mutex_);
+  std::vector<Entry> journals_ IPA_GUARDED_BY(mutex_);
 };
 
 /// Record into the calling thread's journal of the global recorder.

@@ -4,33 +4,6 @@
 #include "obs/flight.hpp"
 
 namespace ipa::obs {
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
-std::string span_json(const SpanRecord& span) {
-  std::string out = "{\"name\":\"" + json_escape(span.name) + "\"";
-  out += ",\"trace\":\"" + strings::format("%016llx", (unsigned long long)span.trace_id) + "\"";
-  out += ",\"span\":\"" + strings::format("%016llx", (unsigned long long)span.span_id) + "\"";
-  out += ",\"parent\":\"" + strings::format("%016llx", (unsigned long long)span.parent_id) + "\"";
-  if (!span.session.empty()) out += ",\"session\":\"" + json_escape(span.session) + "\"";
-  out += ",\"start\":" + strings::format("%.6f", span.start_s);
-  out += ",\"duration\":" + strings::format("%.6f", span.duration_s());
-  out += ",\"ok\":" + std::string(span.ok ? "true" : "false");
-  if (!span.note.empty()) out += ",\"note\":\"" + json_escape(span.note) + "\"";
-  out += '}';
-  return out;
-}
-
-}  // namespace
 
 SlowOpStore::SlowOpStore(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 

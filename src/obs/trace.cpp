@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "common/strings.hpp"
 #include "obs/slow.hpp"
 
 namespace ipa::obs {
@@ -127,6 +128,20 @@ void ScopedSpan::set_status(const Status& status) {
   if (status.is_ok()) return;
   record_.ok = false;
   if (record_.note.empty()) record_.note = status.to_string();
+}
+
+std::string span_json(const SpanRecord& span) {
+  std::string out = "{\"name\":\"" + strings::json_escape(span.name) + "\"";
+  out += ",\"trace\":\"" + strings::format("%016llx", (unsigned long long)span.trace_id) + "\"";
+  out += ",\"span\":\"" + strings::format("%016llx", (unsigned long long)span.span_id) + "\"";
+  out += ",\"parent\":\"" + strings::format("%016llx", (unsigned long long)span.parent_id) + "\"";
+  if (!span.session.empty()) out += ",\"session\":\"" + strings::json_escape(span.session) + "\"";
+  out += ",\"start\":" + strings::format("%.6f", span.start_s);
+  out += ",\"duration\":" + strings::format("%.6f", span.duration_s());
+  out += ",\"ok\":" + std::string(span.ok ? "true" : "false");
+  if (!span.note.empty()) out += ",\"note\":\"" + strings::json_escape(span.note) + "\"";
+  out += '}';
+  return out;
 }
 
 }  // namespace ipa::obs

@@ -53,6 +53,9 @@ struct SpanRecord {
   double duration_s() const { return end_s - start_s; }
 };
 
+/// One span as a JSON object (the /status and /debug/slow span shape).
+std::string span_json(const SpanRecord& span);
+
 class SlowOpStore;
 
 /// Bounded ring of completed spans, newest evicting oldest. The site keeps

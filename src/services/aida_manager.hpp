@@ -11,9 +11,13 @@
 // bottleneck, so the merge can be arranged as a two-level tree: engines are
 // assigned to sub-mergers of bounded fan-in whose outputs merge at the top.
 // merge_fan_in == 0 disables the hierarchy (single-level merge).
+//
+// The manager lock only pins state: poll() pins the snapshots of the version
+// it reports, merges them unlocked on the polling thread and then
+// installs the result if it is newer than the cached merge, so heartbeats
+// and pushes never wait on a merge.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,7 +26,6 @@
 #include "aida/tree.hpp"
 #include "common/clock.hpp"
 #include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 #include "services/protocol.hpp"
 
 namespace ipa::services {
@@ -69,13 +72,12 @@ class AidaManager {
 
   std::size_t session_count() const;
 
-  /// Number of pairwise tree merges performed since construction — the
-  /// cost metric for the bench_merge ablation.
-  std::uint64_t merges_performed() const { return merges_.load(std::memory_order_relaxed); }
-
   /// Accumulated time spent rebuilding a session's merged tree (the live
   /// "merge" phase, summed over every poll that re-merged).
   double merge_seconds(const std::string& session_id) const;
+
+  /// Version of the session's cached merged tree (0 = none or no session).
+  std::uint64_t merged_version(const std::string& session_id) const;
 
  private:
   struct EngineHealth {
@@ -83,29 +85,28 @@ class AidaManager {
     bool lost = false;
   };
 
+  using Snapshot = std::shared_ptr<const ser::Bytes>;
+
   struct SessionMerge {
-    std::map<std::string, ser::Bytes> engine_snapshots;  // engine id -> latest
+    std::map<std::string, Snapshot> engine_snapshots;  // engine id -> latest
     std::map<std::string, EngineReport> reports;
     std::map<std::string, EngineHealth> health;
     std::uint64_t version = 0;
-    // Cached merged tree, rebuilt lazily on poll after a push.
-    mutable ser::Bytes merged_cache;
-    mutable std::uint64_t merged_cache_version = 0;
-    mutable double merge_total_s = 0;  // live "merge" phase accumulator
+    // Merged tree of version merged_cache_version, rebuilt lazily on poll.
+    Snapshot merged_cache;
+    std::uint64_t merged_cache_version = 0;
+    double merge_total_s = 0;  // live "merge" phase accumulator
   };
 
-  Result<ser::Bytes> merge_session(const SessionMerge& session) const
-      IPA_REQUIRES(mutex_);
+  /// Deserialize and merge pinned snapshots; runs without the lock.
+  Result<ser::Bytes> merge_snapshots(
+      const std::vector<std::pair<std::string, Snapshot>>& snapshots) const;
 
   std::size_t merge_fan_in_;
   const Clock* clock_;
   mutable Mutex mutex_{LockRank::kAida, "aida-manager"};
-  std::map<std::string, SessionMerge> sessions_ IPA_GUARDED_BY(mutex_);
-  // Sub-merge tasks run concurrently on the pool; atomic so their counting
-  // doesn't race (the pool is created lazily on the first hierarchical
-  // merge and bounds concurrency independent of the session's group count).
-  mutable std::atomic<std::uint64_t> merges_{0};
-  mutable std::unique_ptr<ThreadPool> merge_pool_;
+  // shared_ptr: a poll installs into the entry it pinned, even if the id reopened.
+  std::map<std::string, std::shared_ptr<SessionMerge>> sessions_ IPA_GUARDED_BY(mutex_);
 };
 
 }  // namespace ipa::services

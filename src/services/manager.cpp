@@ -1,6 +1,5 @@
 #include "services/manager.hpp"
 
-#include <chrono>
 #include <cstdlib>
 
 #include "common/ids.hpp"
@@ -81,43 +80,10 @@ class PhaseTimer {
   obs::ScopedSpan span_;
 };
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strings::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string hex_id(std::uint64_t id) { return strings::format("%016llx", (unsigned long long)id); }
-
 /// Value of one query parameter in a request target ("" when absent).
 std::string query_param(const std::string& target, const std::string& key) {
-  const std::size_t q = target.find('?');
-  if (q == std::string::npos) return "";
-  std::size_t pos = q + 1;
-  while (pos < target.size()) {
-    std::size_t amp = target.find('&', pos);
-    if (amp == std::string::npos) amp = target.size();
-    const std::string pair = target.substr(pos, amp - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) return pair.substr(eq + 1);
-    pos = amp + 1;
-  }
-  return "";
+  const auto uri = Uri::parse("http://site" + target);
+  return uri.is_ok() ? uri->query_or(key) : "";
 }
 
 }  // namespace
@@ -175,7 +141,16 @@ Status ManagerNode::initialize() {
   IPA_RETURN_IF_ERROR(soap_->start().status());
 
   if (config_.monitor_interval_s > 0) {
-    monitor_ = std::jthread([this] { monitor_loop(); });
+    monitor_.start(config_.monitor_interval_s, [this] {
+      for (const std::string& session_id : sessions_.ids()) {
+        auto session = sessions_.find(session_id);
+        if (!session.is_ok()) continue;
+        for (const std::string& engine_id :
+             aida_.stale_engines(session_id, config_.heartbeat_timeout_s)) {
+          handle_dead_engine(*session, engine_id);
+        }
+      }
+    });
   }
   IPA_LOG(info) << "IPA manager up: soap=" << soap_->endpoint().to_string()
                 << " rpc=" << rpc_bound_.to_string();
@@ -183,10 +158,9 @@ Status ManagerNode::initialize() {
 }
 
 void ManagerNode::stop() {
-  // The monitor goes first: a restart in flight must not race the session
-  // teardown below.
-  monitor_stop_.request();
-  if (monitor_.joinable()) monitor_.join();
+  // The scan goes first: cancel() waits for a restart in flight, so it
+  // cannot race the session teardown below.
+  monitor_.cancel();
   // Close all sessions first so worker hosts disconnect before servers die.
   for (const std::string& id : sessions_.ids()) {
     if (auto session = sessions_.find(id); session.is_ok()) {
@@ -234,21 +208,6 @@ Status ManagerNode::kill_engine(const std::string& session_id,
 // ---------------------------------------------------------------------------
 // Dead-engine detection and recovery
 // ---------------------------------------------------------------------------
-
-void ManagerNode::monitor_loop() {
-  const auto interval = std::chrono::duration<double>(config_.monitor_interval_s);
-  for (;;) {
-    if (monitor_stop_.wait_for(interval)) return;
-    for (const std::string& session_id : sessions_.ids()) {
-      auto session = sessions_.find(session_id);
-      if (!session.is_ok()) continue;
-      for (const std::string& engine_id :
-           aida_.stale_engines(session_id, config_.heartbeat_timeout_s)) {
-        handle_dead_engine(*session, engine_id);
-      }
-    }
-  }
-}
 
 /// Replace a dead engine: start a fresh one on the compute element, replay
 /// the session's staging (dataset part, code, last control verb) and swap
@@ -370,8 +329,9 @@ http::Response ManagerNode::handle_status(const http::Request& request) {
     auto session = sessions_.find(id);
     if (!session.is_ok()) {
       if (!filter.empty()) {
-        return http::Response::make(404, "{\"error\":\"no session '" + json_escape(id) + "'\"}",
-                                    "application/json");
+        return http::Response::make(
+            404, "{\"error\":\"no session '" + strings::json_escape(id) + "'\"}",
+            "application/json");
       }
       continue;  // closed between ids() and find()
     }
@@ -381,9 +341,9 @@ http::Response ManagerNode::handle_status(const http::Request& request) {
 
     if (!first_session) body += ',';
     first_session = false;
-    body += "{\"id\":\"" + json_escape(id) + "\"";
+    body += "{\"id\":\"" + strings::json_escape(id) + "\"";
     body += ",\"state\":\"" + std::string(to_string((*session)->state())) + "\"";
-    body += ",\"dataset\":\"" + json_escape((*session)->dataset_id()) + "\"";
+    body += ",\"dataset\":\"" + strings::json_escape((*session)->dataset_id()) + "\"";
     body += ",\"degraded\":" + std::string((*session)->degraded() ? "true" : "false");
     body += ",\"phases\":{";
     const double values[6] = {timings.locate_s, timings.split_s,     timings.transfer_s,
@@ -402,22 +362,11 @@ http::Response ManagerNode::handle_status(const http::Request& request) {
     const std::vector<obs::SpanRecord> spans = obs::SpanRing::global().snapshot_session(id);
     body += ",\"spans_total\":" + std::to_string(spans.size());
     body += ",\"spans\":[";
-    bool first_span = true;
     std::size_t emitted = 0;
     for (auto it = spans.rbegin(); it != spans.rend() && emitted < span_limit;
          ++it, ++emitted) {
-      const obs::SpanRecord& span = *it;
-      if (!first_span) body += ',';
-      first_span = false;
-      body += "{\"name\":\"" + json_escape(span.name) + "\"";
-      body += ",\"trace\":\"" + hex_id(span.trace_id) + "\"";
-      body += ",\"span\":\"" + hex_id(span.span_id) + "\"";
-      body += ",\"parent\":\"" + hex_id(span.parent_id) + "\"";
-      body += ",\"start\":" + strings::format("%.6f", span.start_s);
-      body += ",\"duration\":" + strings::format("%.6f", span.duration_s());
-      body += ",\"ok\":" + std::string(span.ok ? "true" : "false");
-      if (!span.note.empty()) body += ",\"note\":\"" + json_escape(span.note) + "\"";
-      body += '}';
+      if (emitted != 0) body += ',';
+      body += obs::span_json(*it);
     }
     body += "]}";
   }

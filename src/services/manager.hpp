@@ -12,11 +12,11 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "catalog/catalog.hpp"
 #include "common/config.hpp"
 #include "common/sync.hpp"
+#include "net/periodic.hpp"
 #include "rpc/rpc.hpp"
 #include "security/credentials.hpp"
 #include "services/aida_manager.hpp"
@@ -34,8 +34,8 @@ class ComputeElement {
  public:
   virtual ~ComputeElement() = default;
 
-  /// Start a single engine — also the restart path when the heartbeat
-  /// monitor replaces a dead engine on a surviving compute slot.
+  /// Start a single engine — also the restart path when the dead-engine
+  /// scan replaces an engine on a surviving compute slot.
   virtual Result<std::unique_ptr<EngineHandle>> start_engine(
       const std::string& session_id, const std::string& engine_id,
       const Uri& manager_rpc_endpoint) = 0;
@@ -79,7 +79,7 @@ struct ManagerConfig {
   double heartbeat_interval_s = 0.05;
   /// An engine silent for this long is treated as dead.
   double heartbeat_timeout_s = 1.0;
-  /// Dead-engine scan period (<= 0 disables the monitor thread).
+  /// Dead-engine scan period (<= 0 disables the scan).
   double monitor_interval_s = 0.25;
   /// Restarts allowed per engine before it is given up as lost.
   int max_engine_restarts = 1;
@@ -124,7 +124,6 @@ class ManagerNode {
 
   security::CredentialAuthority& authority() { return authority_; }
   AidaManager& aida() { return aida_; }
-  catalog::Catalog& catalog() { return catalog_; }
 
   /// Swap the compute element (tests inject failures through this).
   void set_compute_element(std::unique_ptr<ComputeElement> element);
@@ -132,7 +131,7 @@ class ManagerNode {
   std::size_t active_sessions() const;
 
   /// Chaos hook: abruptly destroy a session's engine, as if its grid node
-  /// died. The heartbeat monitor then restarts or degrades it.
+  /// died. The dead-engine scan then restarts or degrades it.
   Status kill_engine(const std::string& session_id, const std::string& engine_id);
 
  private:
@@ -147,7 +146,6 @@ class ManagerNode {
   /// Close out the "run" phase if this terminal engine report was the last
   /// one outstanding (called from the AidaManager push handler).
   void maybe_complete_run(const std::string& session_id);
-  void monitor_loop();
   void handle_dead_engine(const std::shared_ptr<Session>& session,
                           const std::string& engine_id);
   Status restart_engine(const std::shared_ptr<Session>& session,
@@ -184,8 +182,7 @@ class ManagerNode {
   // Guards compute_ only (swappable via set_compute_element); sessions_ has
   // its own internal lock.
   mutable Mutex mutex_{LockRank::kManager, "manager-compute"};
-  StopFlag monitor_stop_;  // the monitor sleeps on it between scans
-  std::jthread monitor_;
+  net::PeriodicJob monitor_;  // the dead-engine scan
 };
 
 }  // namespace ipa::services

@@ -19,7 +19,7 @@ struct SeatCall {
 };
 
 /// Issue `fn` against every snapshotted handle in parallel on the shared
-/// staging pool — the session lock must NOT be held. Every call runs to
+/// site pool — the session lock must NOT be held. Every call runs to
 /// completion; the first error in seat order wins and is prefixed with the
 /// failing engine's id, so the aggregate result is deterministic no matter
 /// how the parallel calls interleave.
@@ -32,7 +32,7 @@ Status fan_out(const std::vector<SeatCall>& calls,
   std::vector<std::future<Status>> results;
   results.reserve(calls.size());
   for (const SeatCall& call : calls) {
-    results.push_back(staging_pool().submit([&call, &fn] { return fn(call); }));
+    results.push_back(site_pool().submit([&call, &fn] { return fn(call); }));
   }
   Status first = Status::ok();
   for (std::size_t i = 0; i < calls.size(); ++i) {
@@ -330,15 +330,6 @@ bool Session::degraded() const {
   LockGuard lock(mutex_);
   return std::any_of(seats_.begin(), seats_.end(),
                      [](const EngineSeat& seat) { return seat.lost; });
-}
-
-std::vector<std::string> Session::lost_engines() const {
-  LockGuard lock(mutex_);
-  std::vector<std::string> out;
-  for (std::size_t i = 0; i < seats_.size(); ++i) {
-    if (seats_[i].lost) out.push_back(seat_ids_[i]);
-  }
-  return out;
 }
 
 Status Session::close() {

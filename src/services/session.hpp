@@ -59,7 +59,7 @@ class Session {
 
   /// Fan a control verb out to every live engine (lost seats are skipped —
   /// that is the degraded mode). The per-engine calls run in parallel on
-  /// the shared staging pool, outside the session lock; the first error in
+  /// the shared site pool, outside the session lock; the first error in
   /// seat order is returned, naming the engine that failed.
   Status control(ControlVerb verb, std::uint64_t records = 0);
 
@@ -124,7 +124,6 @@ class Session {
 
   /// True once any engine was marked lost (results are partial).
   bool degraded() const;
-  std::vector<std::string> lost_engines() const;
 
   Status close();
 

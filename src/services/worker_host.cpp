@@ -1,7 +1,5 @@
 #include "services/worker_host.hpp"
 
-#include <chrono>
-
 #include "common/log.hpp"
 
 namespace ipa::services {
@@ -28,25 +26,17 @@ Result<std::unique_ptr<WorkerHost>> WorkerHost::start(const std::string& session
   IPA_RETURN_IF_ERROR(ack.status().with_prefix("worker: ready signal"));
 
   if (heartbeat_interval_s > 0) {
-    host->heartbeat_ = std::jthread(
-        [raw = host.get(), heartbeat_interval_s] { raw->heartbeat_loop(heartbeat_interval_s); });
+    host->heartbeat_.start(heartbeat_interval_s, [raw = host.get()] {
+      const auto beat = raw->rpc_->call(kWorkerRegistryService, "heartbeat",
+                                        encode_ready(raw->session_id_, raw->engine_id_), "",
+                                        /*timeout_s=*/1.0);
+      if (!beat.is_ok()) {
+        IPA_LOG(debug) << "worker " << raw->engine_id_
+                       << ": heartbeat failed: " << beat.status().to_string();
+      }
+    });
   }
   return host;
-}
-
-void WorkerHost::heartbeat_loop(double interval_s) {
-  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(interval_s));
-  for (auto next = std::chrono::steady_clock::now() + period;; next += period) {
-    if (stop_.wait_for(next - std::chrono::steady_clock::now())) return;
-    const auto ack = rpc_->call(kWorkerRegistryService, "heartbeat",
-                                encode_ready(session_id_, engine_id_), "",
-                                /*timeout_s=*/1.0);
-    if (!ack.is_ok()) {
-      IPA_LOG(debug) << "worker " << engine_id_
-                     << ": heartbeat failed: " << ack.status().to_string();
-    }
-  }
 }
 
 WorkerHost::WorkerHost(std::string session_id, std::string engine_id, rpc::RpcClient client,
@@ -64,8 +54,7 @@ WorkerHost::WorkerHost(std::string session_id, std::string engine_id, rpc::RpcCl
 WorkerHost::~WorkerHost() {
   // Heartbeats stop first, then the snapshot handler, so nothing touches
   // the RPC client while it is being closed.
-  stop_.request();
-  if (heartbeat_.joinable()) heartbeat_.join();
+  heartbeat_.cancel();
   engine_->set_snapshot_handler(nullptr);
   engine_.reset();
   if (rpc_) rpc_->close();

@@ -1,18 +1,17 @@
 // Worker-node side: hosts one analysis engine, pushes its snapshots to the
 // AIDA manager over RPC and signals readiness to the worker registry — the
-// process GRAM starts on each grid node in the paper. A heartbeat thread
-// keeps telling the registry the engine is alive so the manager can detect
-// dead engines between snapshots.
+// process GRAM starts on each grid node in the paper. A periodic heartbeat
+// job on the site pool keeps telling the registry the engine is alive so the
+// manager can detect dead engines between snapshots.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/status.hpp"
-#include "common/sync.hpp"
 #include "common/uri.hpp"
 #include "engine/engine.hpp"
+#include "net/periodic.hpp"
 #include "rpc/rpc.hpp"
 #include "services/protocol.hpp"
 
@@ -37,7 +36,7 @@ class WorkerHost final : public EngineHandle {
  public:
   /// Connects to the manager's RPC endpoint, signals ready, wires the
   /// engine's snapshot stream to AidaManager.push and starts heartbeating
-  /// (heartbeat_interval_s <= 0 disables the heartbeat thread).
+  /// (heartbeat_interval_s <= 0 disables the heartbeat).
   static Result<std::unique_ptr<WorkerHost>> start(const std::string& session_id,
                                                    const std::string& engine_id,
                                                    const Uri& manager_rpc_endpoint,
@@ -52,22 +51,17 @@ class WorkerHost final : public EngineHandle {
   Status control(ControlVerb verb, std::uint64_t records) override;
   EngineReport report() const override;
 
-  engine::AnalysisEngine& engine() { return *engine_; }
-  rpc::RetryStats rmi_stats() const { return rpc_->stats(); }
-
  private:
   WorkerHost(std::string session_id, std::string engine_id, rpc::RpcClient client,
              engine::EngineConfig config);
 
   void push_snapshot(const ser::Bytes& snapshot, const engine::Progress& progress);
-  void heartbeat_loop(double interval_s);
 
   std::string session_id_;
   std::string engine_id_;
   std::unique_ptr<rpc::RpcClient> rpc_;
   std::unique_ptr<engine::AnalysisEngine> engine_;
-  StopFlag stop_;  // the heartbeat sleeps on it between beats
-  std::jthread heartbeat_;  // last member: joins before the rest tears down
+  net::PeriodicJob heartbeat_;  // cancelled first in the destructor
 };
 
 }  // namespace ipa::services

@@ -18,7 +18,9 @@
 #      recorder (obs), where framing arithmetic, enum decoding and raw
 #      buffer copies would hide undefined behaviour
 #   T  thread sanitizer over the reactor-backed net/rpc/http suites, the
-#      staging pipeline and the common concurrency primitives
+#      staging pipeline, the common concurrency primitives, and the
+#      services/integration suites (heartbeat and dead-engine jobs on the
+#      site pool, off-lock merges, kill/restart/degrade)
 #   C  Clang thread-safety-analysis build, when clang++ is installed —
 #      proves the IPA_GUARDED_BY/IPA_REQUIRES annotations
 #   3  Release bench build + smoke run (full regression gating against
@@ -93,17 +95,18 @@ case " $sanitizers " in *" undefined "*)
   ;;
 esac
 
-echo "== tier thread: TSan over reactor/servers + staging + primitives =="
+echo "== tier thread: TSan over reactor/servers + staging + primitives + services =="
 # The epoll reactor hands streams between the loop thread, pool workers and
 # caller threads; the mux RpcClient shares one connection across callers;
-# the parallel split + session fan-out cross the shared staging pool; and
+# the parallel split, session fan-out, off-lock merges and the periodic
+# heartbeat/dead-engine jobs all cross the shared site pool; and
 # MpmcQueue/sync underpin every pool. TSan is the tier that would catch a
-# race in any of those hand-offs.
+# race in any of those hand-offs, including FailureTest's kill/restart path.
 cmake -B build-thread -S . -DIPA_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "$jobs" --target ipa_test_staging ipa_test_common \
-  ipa_test_net ipa_test_rpc ipa_test_http
+  ipa_test_net ipa_test_rpc ipa_test_http ipa_test_services ipa_test_integration
 (cd build-thread && \
-  ctest --output-on-failure -j "$jobs" -L 'staging|common|net|rpc|http')
+  ctest --output-on-failure -j "$jobs" -L 'staging|common|net|rpc|http|services|integration')
 
 if command -v clang++ >/dev/null 2>&1; then
   echo "== tier clang: thread-safety-analysis build =="

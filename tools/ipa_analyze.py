@@ -65,7 +65,6 @@ KINDS = ("rank-inversion", "lock-cycle", "unranked-mutex", "blocking-under-lock"
 LOCK_RANKS = {
     "kUnranked": 0,
     "kIds": 10,
-    "kStopFlag": 15,
     "kLog": 20,
     "kFlight": 25,
     "kMetrics": 30,
