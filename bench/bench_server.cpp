@@ -41,7 +41,7 @@ using namespace ipa;
 struct Flags {
   int conns = 8192;     // idle keep-alive crowd (clamped to the fd limit)
   int active = 0;       // active clients; 0 = same as workers
-  int workers = 16;     // ServerWorkerPool threads = old per-connection ceiling
+  int workers = 16;     // dispatch pool cap (max_workers) = old per-connection ceiling
   int requests = 2000;  // requests per active client per phase
   int rpc_threads = 8;  // concurrent callers sharing one mux connection
   std::string out_path;

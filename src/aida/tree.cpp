@@ -71,10 +71,6 @@ std::string_view object_kind(const Object& object) {
   return "?";
 }
 
-const std::string& object_title(const Object& object) {
-  return std::visit([](const auto& obj) -> const std::string& { return obj.title(); }, object);
-}
-
 Status merge_objects(Object& into, Object& from) {
   if (into.index() != from.index()) {
     return failed_precondition(std::string("tree: cannot merge ") +

@@ -25,8 +25,6 @@ using Object = std::variant<Histogram1D, Histogram2D, Profile1D, Cloud1D, Tuple>
 
 /// Display/type name of an object variant ("Histogram1D", ...).
 std::string_view object_kind(const Object& object);
-/// Title of whichever object is held.
-const std::string& object_title(const Object& object);
 /// Merge two objects of the same alternative; kFailedPrecondition on kind
 /// or shape mismatch.
 Status merge_objects(Object& into, Object& from);

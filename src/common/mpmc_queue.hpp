@@ -1,9 +1,7 @@
-// Bounded blocking multi-producer/multi-consumer queue.
-//
-// The workhorse of cross-thread message passing in IPA: transports, the
-// analysis-engine record pump and the merge collector all communicate
-// through MpmcQueue. Closing the queue wakes all waiters; pops drain
-// remaining items before reporting closed.
+// Bounded blocking multi-producer/multi-consumer queue. Closing the queue
+// wakes all waiters; pops drain remaining items before reporting closed.
+// ThreadPool keeps its own queue under its own mutex, so no src/ code uses
+// this one now.
 #pragma once
 
 #include <deque>

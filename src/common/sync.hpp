@@ -113,11 +113,11 @@ enum class LockRank : int {
                       //   Locator, fault dial ordinals
 
   // --- message plumbing ------------------------------------------------
-  kQueue = 60,        // MpmcQueue internals (thread pools, server work queues)
+  kQueue = 60,        // MpmcQueue internals
   kTransport = 70,    // socket send serialization, fault streams
   kReactor = 72,      // net::Reactor fd table, timer wheel, posted-op queue
   kReactorStream = 74,  // net::Stream write buffer (arms the reactor under it)
-  kWorkerPool = 90,   // net::ServerWorkerPool bookkeeping
+  kWorkerPool = 90,   // ipa::ThreadPool queue and workers (site and server pools)
   kServer = 100,      // RpcServer service table, http::Server routes
   kChannel = 110,     // RpcClient / http::Client per-channel call locks
 

@@ -67,8 +67,6 @@ class DatasetWriter {
   /// logs a warning.
   Status finish();
 
-  std::uint64_t records_written() const { return count_; }
-
  private:
   DatasetWriter() = default;
 

@@ -37,7 +37,6 @@ class SharedLink {
   /// the last byte arrives. Returns a flow id.
   std::uint64_t start_flow(double mb, std::function<void()> done);
 
-  std::size_t active_flows() const { return flows_.size(); }
   const std::string& name() const { return name_; }
   const Params& params() const { return params_; }
 

@@ -223,7 +223,7 @@ Server::Server(std::string host, std::uint16_t port, net::ServerPoolOptions pool
                     return Status::ok();
                   };
                 }),
-      pool_("http", pool, [this](Task task) { handle_task(std::move(task)); }) {}
+      pool_(pool.max_workers, pool.queue_capacity) {}
 
 Server::~Server() { stop(); }
 
@@ -251,9 +251,9 @@ Result<Uri> Server::start() {
 
 void Server::stop() {
   acceptor_.close_listener();  // no new connections while the pool drains
-  pool_.stop();     // in-flight handlers finish; their response posts may
-                    // still reach the reactor, which is stopped after them
-  reactor_.stop();  // drops pending posts, clears fd/timer registrations
+  pool_.shutdown();  // in-flight handlers finish; their response posts may
+                     // still reach the reactor, which is stopped after them
+  reactor_.stop();   // drops pending posts, clears fd/timer registrations
   acceptor_.stop();
 }
 
@@ -295,15 +295,15 @@ void Server::pump(const std::shared_ptr<Conn>& conn,
     const bool keep_alive =
         !strings::iequals(request.header_or("Connection", "keep-alive"), "close");
     conn->busy = true;
-    Task task{conn, stream, std::move(request), keep_alive};
     // A full queue sheds load per request instead of queueing unboundedly —
     // but tells the client so: a best-effort 503 with a Retry-After hint
     // beats the ambiguous silent close (which reads as a network fault and
     // makes clients retry immediately, amplifying the overload).
-    switch (pool_.submit(task)) {
-      case net::Admission::kAdmitted:
+    switch (pool_stats_.admit(pool_, [this, conn, stream, request = std::move(request),
+                                      keep_alive] { handle(conn, stream, request, keep_alive); })) {
+      case Admission::kAdmitted:
         return;  // the worker's completion post resumes this pump
-      case net::Admission::kSaturated: {
+      case Admission::kSaturated: {
         Response busy = Response::make(503, "server saturated; retry later\n");
         busy.headers["Retry-After"] = "1";
         busy.headers["Connection"] = "close";
@@ -312,7 +312,7 @@ void Server::pump(const std::shared_ptr<Conn>& conn,
         stream->send(busy.serialize(), /*close_after=*/true);
         return;
       }
-      case net::Admission::kStopped:
+      case Admission::kStopped:
         conn->busy = false;
         conn->closing = true;
         stream->close();
@@ -321,8 +321,9 @@ void Server::pump(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void Server::handle_task(Task task) {
-  const Request& request = task.request;
+void Server::handle(const std::shared_ptr<Conn>& conn,
+                    const std::shared_ptr<net::Stream>& stream, const Request& request,
+                    bool keep_alive) {
   Handler handler = find_handler(request.target);
   Response response;
   if (!handler) {
@@ -338,7 +339,7 @@ void Server::handle_task(Task task) {
     }
   }
   if (response.reason.empty()) response.reason = reason_phrase(response.status);
-  response.headers["Connection"] = task.keep_alive ? "keep-alive" : "close";
+  response.headers["Connection"] = keep_alive ? "keep-alive" : "close";
   const std::string wire = response.serialize();
   obs::Registry& registry = obs::Registry::global();
   registry
@@ -356,9 +357,9 @@ void Server::handle_task(Task task) {
       .inc(wire.size());
   ++served_;  // counted before the write so it is visible once the
               // client has the response in hand
-  task.stream->send(wire, /*close_after=*/!task.keep_alive);
-  if (task.keep_alive) {
-    reactor_.post([this, conn = std::move(task.conn), stream = std::move(task.stream)] {
+  stream->send(wire, /*close_after=*/!keep_alive);
+  if (keep_alive) {
+    reactor_.post([this, conn, stream] {
       conn->busy = false;
       pump(conn, stream);  // serve the next pipelined/keep-alive request, if parsed
     });

@@ -71,8 +71,6 @@ class Parser {
   ///   error     - malformed stream (connection should be dropped)
   Result<bool> next(Message& out);
 
-  std::size_t buffered() const { return buffer_.size(); }
-
  private:
   std::string buffer_;
 };
@@ -89,8 +87,8 @@ using Handler = std::function<Response(const Request&)>;
 
 /// Event-driven HTTP/1.1 server with keep-alive. A single epoll reactor
 /// thread accepts connections, parses requests incrementally, and flushes
-/// responses; handler execution runs on a bounded worker pool (lazily grown
-/// to `pool.max_workers`). Concurrent-connection capacity is therefore
+/// responses; handlers run on the server's own ThreadPool (grown on demand to
+/// `pool.max_workers`, idle workers retired). Connection capacity is therefore
 /// independent of pool size — idle keep-alive connections cost a few KB, not
 /// a thread. Parsed requests beyond the queue capacity are answered with a
 /// best-effort 503 + Retry-After and counted on
@@ -123,17 +121,11 @@ class Server {
   /// Per-connection parse state, owned by the connection's data callback
   /// and touched only on the loop thread.
   struct Conn;
-  /// One parsed request queued for a pool worker.
-  struct Task {
-    std::shared_ptr<Conn> conn;
-    std::shared_ptr<net::Stream> stream;
-    Request request;
-    bool keep_alive = true;
-  };
 
   void pump(const std::shared_ptr<Conn>& conn,
             const std::shared_ptr<net::Stream>& stream);  // loop thread
-  void handle_task(Task task);                          // pool worker
+  void handle(const std::shared_ptr<Conn>& conn, const std::shared_ptr<net::Stream>& stream,
+              const Request& request, bool keep_alive);  // pool worker
   Handler find_handler(const std::string& path) const;
 
   std::string host_;
@@ -143,7 +135,8 @@ class Server {
   net::Acceptor acceptor_;
   mutable SharedMutex mutex_{LockRank::kServer, "http-routes"};
   std::vector<std::pair<std::string, Handler>> routes_ IPA_GUARDED_BY(mutex_);
-  net::ServerWorkerPool<Task> pool_;
+  net::ServerPoolStats pool_stats_{"http"};
+  ThreadPool pool_;
   std::atomic<std::uint64_t> served_{0};
 };
 

@@ -6,8 +6,8 @@
 // at pool size; this module removes that wall. One loop thread multiplexes
 // every connection through epoll (non-blocking sockets, level-triggered
 // readiness), a hashed timer wheel reaps idle/slow peers, and an eventfd
-// wakes the loop for cross-thread work. Servers keep their ServerWorkerPool,
-// but only for CPU-bound dispatch: the reactor parses requests, workers run
+// wakes the loop for cross-thread work. Each server keeps a ThreadPool, but
+// only for CPU-bound dispatch: the reactor parses requests, workers run
 // handlers, and responses come back through a per-connection write queue.
 //
 // Threading model (see docs/async-server.md for the full diagram):

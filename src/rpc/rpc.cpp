@@ -114,7 +114,7 @@ RpcServer::RpcServer(Uri endpoint, net::ServerPoolOptions pool)
                     return on_data(stream, input);
                   };
                 }),
-      pool_("rpc", pool, [this](Work work) { dispatch(std::move(work)); }) {}
+      pool_(pool.max_workers, pool.queue_capacity) {}
 
 RpcServer::~RpcServer() { stop(); }
 
@@ -137,7 +137,7 @@ Result<Uri> RpcServer::start() {
 
 void RpcServer::stop() {
   acceptor_.close_listener();  // no new connections while the pool drains
-  pool_.stop();       // in-flight calls finish and send their responses
+  pool_.shutdown();   // in-flight calls finish and send their responses
   reactor_.stop();    // after the pool: late response sends still land
   acceptor_.stop();
 }
@@ -153,47 +153,39 @@ Status RpcServer::on_data(const std::shared_ptr<net::Stream>& stream, std::strin
     }
     if (len > net::kMaxFrameBytes) return data_loss("rpc: oversized frame announced");
     if (input.size() < 4u + len) break;  // wait for the rest of the frame
-    Work work;
-    work.stream = stream;
-    work.frame.assign(reinterpret_cast<const std::uint8_t*>(input.data()) + 4,
-                      reinterpret_cast<const std::uint8_t*>(input.data()) + 4 + len);
-    input.erase(0, 4u + len);
-
-    switch (pool_.submit(work)) {
-      case net::Admission::kAdmitted:
-        break;
-      case net::Admission::kSaturated: {
-        // Shed this call, keep the connection: the response is tagged with
-        // the call id so the other in-flight calls on the stream are
-        // untouched. The request WAS read, so only idempotent methods may
-        // be replayed blindly.
-        ser::Reader r(work.frame);
-        const auto type = r.u8();
-        const auto id = r.varint();
-        if (!type.is_ok() || *type != kRequest || !id.is_ok()) {
-          return data_loss("rpc: undecodable frame on saturated dispatch");
-        }
-        stream->send(frame_wire(encode_error_response(
-            *id, resource_exhausted("rpc: server saturated, retry after backoff"))));
-        break;
+    const auto* body = reinterpret_cast<const std::uint8_t*>(input.data()) + 4;
+    const Admission admission = pool_stats_.admit(
+        pool_, [this, stream, frame = ser::Bytes(body, body + len)] { dispatch(stream, frame); });
+    if (admission == Admission::kSaturated) {
+      // Shed this call, keep the connection: the response is tagged with
+      // the call id so the other in-flight calls on the stream are
+      // untouched. The request WAS read, so only idempotent methods may
+      // be replayed blindly.
+      ser::Reader r(body, len);
+      const auto type = r.u8();
+      const auto id = r.varint();
+      if (!type.is_ok() || *type != kRequest || !id.is_ok()) {
+        return data_loss("rpc: undecodable frame on saturated dispatch");
       }
-      case net::Admission::kStopped:
-        return cancelled("rpc: server stopping");
+      stream->send(frame_wire(encode_error_response(
+          *id, resource_exhausted("rpc: server saturated, retry after backoff"))));
     }
+    input.erase(0, 4u + len);
+    if (admission == Admission::kStopped) return cancelled("rpc: server stopping");
   }
   return Status::ok();
 }
 
-void RpcServer::dispatch(Work work) {
-  const ser::Bytes reply = handle_frame(work.frame, work.stream->peer());
+void RpcServer::dispatch(const std::shared_ptr<net::Stream>& stream, const ser::Bytes& frame) {
+  const ser::Bytes reply = handle_frame(frame, stream->peer());
   // An undecodable frame means the stream's integrity is gone (e.g. a
   // truncated request): drop the connection instead of answering, so the
   // client classifies it as a transport failure.
   if (reply.empty()) {
-    work.stream->close();
+    stream->close();
     return;
   }
-  work.stream->send(frame_wire(reply));
+  stream->send(frame_wire(reply));
 }
 
 ser::Bytes RpcServer::handle_frame(const ser::Bytes& frame, const std::string& peer) {

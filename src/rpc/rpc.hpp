@@ -92,7 +92,7 @@ using AuthFn = std::function<Result<std::string>(const std::string& token)>;
 /// Event-driven RPC server with connection multiplexing, the same for every
 /// scheme (inproc, tcp, chaos+*): an epoll reactor thread owns every
 /// connection, decodes the u32-length-prefixed frames incrementally, feeds
-/// each complete request to the bounded worker pool, and interleaves
+/// each complete request to the server's own ThreadPool, and interleaves
 /// frame-tagged responses back onto the shared stream out of order — many
 /// logical calls in flight per connection, no thread held by any of them,
 /// and idle peers reaped after `pool.idle_timeout_s`. Dispatch saturation
@@ -117,20 +117,14 @@ class RpcServer {
 
   Uri endpoint() const { return bound_; }
   std::size_t active_connections() const { return acceptor_.open_connections(); }
-  /// Dispatch workers spawned so far (at most `pool.max_workers`).
+  /// Dispatch workers live now (at most `pool.max_workers`).
   std::size_t worker_count() const { return pool_.worker_count(); }
 
  private:
-  /// One unit of pool work: a decoded request frame and the stream to
-  /// answer on.
-  struct Work {
-    std::shared_ptr<net::Stream> stream;
-    ser::Bytes frame;
-  };
-
   Status on_data(const std::shared_ptr<net::Stream>& stream,
                  std::string& input);  // loop thread
-  void dispatch(Work work);             // pool worker
+  void dispatch(const std::shared_ptr<net::Stream>& stream,
+                const ser::Bytes& frame);  // pool worker
   /// Decode + dispatch one request frame. An empty result means the frame
   /// was undecodable and the connection must be dropped.
   ser::Bytes handle_frame(const ser::Bytes& frame, const std::string& peer);
@@ -143,7 +137,8 @@ class RpcServer {
   mutable Mutex mutex_{LockRank::kServer, "rpc-services"};
   std::map<std::string, std::shared_ptr<Service>, std::less<>> services_
       IPA_GUARDED_BY(mutex_);
-  net::ServerWorkerPool<Work> pool_;
+  net::ServerPoolStats pool_stats_{"rpc"};
+  ThreadPool pool_;
 };
 
 /// Client-side retry behaviour. Retries apply only to methods declared

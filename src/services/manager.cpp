@@ -629,8 +629,10 @@ Result<xml::Node> ManagerNode::op_control(const soap::SoapContext& ctx, const xm
   if (verb == ControlVerb::kRun || verb == ControlVerb::kRunRecords) {
     // The run phase ends asynchronously: the push handler closes it when the
     // last engine reports a terminal state. Captures the current (SOAP op)
-    // span as the run span's parent.
+    // span as the run span's parent. Engines that finished before this line
+    // pushed while no run was noted, so check for completion once here too.
     session->note_run_started(clock().now());
+    maybe_complete_run(session->id());
   }
   xml::Node reply("ipa:controlResponse");
   reply.add_child(text_element("applied", std::string(to_string(verb))));

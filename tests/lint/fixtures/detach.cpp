@@ -3,8 +3,8 @@
 
 namespace fixture {
 
-void fire_and_forget() {
-  std::thread([] {}).detach();
+void fire_and_forget(std::thread worker) {
+  worker.detach();
 }
 
 }  // namespace fixture

@@ -1,7 +1,10 @@
-// Thread census of a running site. Heartbeats, the dead-engine scan,
-// sub-merges and staging fan-out are jobs on the shared site pool, so
-// activating a session costs its engines' own threads plus at most a few
-// RPC dispatch workers — no thread per heartbeat.
+// Thread census of a running site. Heartbeats, the dead-engine scan and
+// staging fan-out are jobs on the shared site pool (sub-merges run on the
+// polling thread), so activating a session costs its engines' own threads
+// plus at most a few RPC dispatch workers — no thread per heartbeat. Every
+// pool spawns workers on demand and retires them after
+// ThreadPool::kIdleRetire, so an idle site is small and a closed session
+// gives its threads back.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +12,7 @@
 #include <thread>
 
 #include "client/grid_client.hpp"
+#include "common/thread_pool.hpp"
 #include "services/manager.hpp"
 
 namespace ipa {
@@ -50,6 +54,65 @@ TEST(ThreadCensus, SixteenEngineSessionAddsAtMostTwentyFourThreads) {
 
   EXPECT_TRUE(session->close().is_ok());
   (*manager)->stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+std::unique_ptr<services::ManagerNode> start_site(const std::filesystem::path& dir) {
+  services::ManagerConfig config;
+  config.staging_dir = (dir / "staging").string();
+  auto manager = services::ManagerNode::start(std::move(config));
+  EXPECT_TRUE(manager.is_ok()) << manager.status().to_string();
+  return manager.is_ok() ? std::move(*manager) : nullptr;
+}
+
+/// The thread count once the dead-engine scan (every 0.25 s by default) has
+/// run a few times on the site pool.
+std::size_t settled_thread_count() {
+  // ipa-lint: allow(sleep-sync) -- lets the periodic scan run; the census decides.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  return thread_count();
+}
+
+TEST(ThreadCensus, IdleSiteHasAtMostEightThreads) {
+  // Each test runs in a fresh process (one thread), so the site's own
+  // threads are the count: its reactors plus the pool workers in use.
+  const std::size_t before = thread_count();
+  const auto dir = std::filesystem::temp_directory_path() / "ipa-thread-census-idle";
+  auto manager = start_site(dir);
+  ASSERT_NE(manager, nullptr);
+  const std::size_t idle = settled_thread_count();
+  EXPECT_LE(idle - before + 1, 8u) << "before " << before << ", idle site " << idle;
+  manager->stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(ThreadCensus, ClosedSessionGivesItsThreadsBackWithinTheRetireTime) {
+  const auto dir = std::filesystem::temp_directory_path() / "ipa-thread-census-close";
+  auto manager = start_site(dir);
+  ASSERT_NE(manager, nullptr);
+  const std::size_t idle = settled_thread_count();
+  const std::string token = manager->authority().issue("cn=user", {"analysis"}, 3600);
+  auto client = client::GridClient::connect(manager->soap_endpoint(), token);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto session = client->create_session(16);
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  ASSERT_TRUE(session->activate().is_ok());
+  const std::size_t activated = settled_thread_count();  // heartbeats grew the RPC pool
+  ASSERT_TRUE(session->close().is_ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kIdleRetire + std::chrono::seconds(1);
+  std::size_t closed = thread_count();
+  while (closed > idle + 2 && std::chrono::steady_clock::now() < deadline) {
+    // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the census decides.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    closed = thread_count();
+  }
+  EXPECT_LE(closed, idle + 2) << "idle " << idle << ", activated " << activated
+                              << ", after close " << closed;
+  manager->stop();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

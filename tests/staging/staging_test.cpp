@@ -20,9 +20,9 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "data/dataset.hpp"
 #include "data/splitter.hpp"
-#include "net/worker_pool.hpp"
 #include "rpc/rpc.hpp"
 #include "serialize/serialize.hpp"
 #include "services/session.hpp"
@@ -595,50 +595,86 @@ TEST_F(StagingTest, FirstErrorInSeatOrderWinsDeterministically) {
   }
 }
 
-// --- bounded server worker pool -------------------------------------------
+// --- bounded worker pool -------------------------------------------------
+
+/// Waits up to `limit` for `done`, polling every millisecond.
+template <typename Pred>
+bool poll_until(Pred done, std::chrono::milliseconds limit) {
+  const auto deadline = Clock::now() + limit;
+  while (!done() && Clock::now() < deadline) {
+    // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the predicate decides.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+/// Offers `items` tasks that each hold their worker until released, and
+/// returns how many started before the deadline. Each needs its own worker.
+int serve_blocking_burst(ThreadPool& pool, int items) {
+  struct Burst {
+    std::atomic<int> entered{0};
+    std::atomic<int> finished{0};
+    std::counting_semaphore<64> release{0};
+  };
+  // Shared with the tasks, so one that never got a worker cannot outlive it.
+  auto burst = std::make_shared<Burst>();
+  for (int i = 0; i < items; ++i) {
+    std::function<void()> task = [burst] {
+      burst->entered.fetch_add(1);
+      burst->release.acquire();
+      burst->finished.fetch_add(1);
+    };
+    EXPECT_EQ(pool.try_post(task), Admission::kAdmitted);
+  }
+  poll_until([&] { return burst->entered.load() == items; }, std::chrono::seconds(2));
+  const int started = burst->entered.load();
+  burst->release.release(items);
+  poll_until([&] { return burst->finished.load() == started; }, std::chrono::seconds(5));
+  return started;
+}
 
 TEST_F(StagingTest, ServerPoolCapsWorkersAndCountsOverflow) {
   std::atomic<int> entered{0};
   std::atomic<int> handled{0};
+  std::atomic<int> last_item{0};
   std::counting_semaphore<16> release(0);
 
-  net::ServerPoolOptions options;
-  options.max_workers = 2;
-  options.queue_capacity = 2;
-  net::ServerWorkerPool<int> pool("staging-test", options, [&](int) {
-    entered.fetch_add(1);
-    release.acquire();
-    handled.fetch_add(1);
-  });
+  ThreadPool pool(/*max_threads=*/2, /*queue_capacity=*/2);
+  auto item = [&](int id) {
+    return std::function<void()>([&, id] {
+      entered.fetch_add(1);
+      release.acquire();
+      last_item.store(id);
+      handled.fetch_add(1);
+    });
+  };
 
   // Two items occupy both workers.
-  EXPECT_EQ(pool.submit(1), net::Admission::kAdmitted);
-  EXPECT_EQ(pool.submit(2), net::Admission::kAdmitted);
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  while (entered.load() < 2 && Clock::now() < deadline) {
-    // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the entered counter decides.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(entered.load(), 2);
+  std::function<void()> first = item(1), second = item(2);
+  EXPECT_EQ(pool.try_post(first), Admission::kAdmitted);
+  EXPECT_EQ(pool.try_post(second), Admission::kAdmitted);
+  ASSERT_TRUE(poll_until([&] { return entered.load() == 2; }, std::chrono::seconds(5)));
   EXPECT_EQ(pool.worker_count(), 2u);
 
   // Two more fill the queue; the fifth overflows instead of growing a
   // thread — and a saturated rejection leaves the item with the caller.
-  EXPECT_EQ(pool.submit(3), net::Admission::kAdmitted);
-  EXPECT_EQ(pool.submit(4), net::Admission::kAdmitted);
-  int rejected = 5;
-  EXPECT_EQ(pool.submit(rejected), net::Admission::kSaturated);
-  EXPECT_EQ(rejected, 5);
+  std::function<void()> third = item(3), fourth = item(4), rejected = item(5);
+  EXPECT_EQ(pool.try_post(third), Admission::kAdmitted);
+  EXPECT_EQ(pool.try_post(fourth), Admission::kAdmitted);
+  EXPECT_EQ(pool.try_post(rejected), Admission::kSaturated);
+  ASSERT_TRUE(rejected);
   EXPECT_EQ(pool.worker_count(), 2u);
 
   release.release(4);
-  while (handled.load() < 4 && Clock::now() < deadline) {
-    // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the handled counter decides.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(handled.load(), 4);
-  pool.stop();
-  EXPECT_EQ(pool.submit(6), net::Admission::kStopped);  // stopped pools reject
+  EXPECT_TRUE(poll_until([&] { return handled.load() == 4; }, std::chrono::seconds(5)))
+      << handled.load() << " of 4 handled";
+  release.release(1);
+  rejected();  // still the caller's item 5
+  EXPECT_EQ(last_item.load(), 5);
+  pool.shutdown();
+  std::function<void()> late = item(6);
+  EXPECT_EQ(pool.try_post(late), Admission::kStopped);  // stopped pools reject
+  EXPECT_TRUE(late);
 }
 
 TEST_F(StagingTest, ServerPoolServesEveryItemQueuedWhileWorkersStart) {
@@ -648,24 +684,47 @@ TEST_F(StagingTest, ServerPoolServesEveryItemQueuedWhileWorkersStart) {
   // earlier items. Many short trials give the preemption race its chances.
   constexpr int kItems = 4;
   for (int trial = 0; trial < 500; ++trial) {
-    std::atomic<int> entered{0};
-    std::counting_semaphore<kItems> release(0);
-    net::ServerPoolOptions options;
-    options.max_workers = 2 * kItems;
-    net::ServerWorkerPool<int> pool("staging-burst", options, [&](int) {
-      entered.fetch_add(1);
-      release.acquire();
-    });
-    for (int i = 0; i < kItems; ++i) ASSERT_EQ(pool.submit(i), net::Admission::kAdmitted);
-    const auto deadline = Clock::now() + std::chrono::seconds(2);
-    while (entered.load() < kItems && Clock::now() < deadline) {
-      // ipa-lint: allow(sleep-sync) -- paces a deadline-bounded poll; the entered counter decides.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    release.release(kItems);
-    pool.stop();
-    ASSERT_EQ(entered.load(), kItems) << "trial " << trial << ": a queued item got no worker";
+    ThreadPool pool(/*max_threads=*/2 * kItems, /*queue_capacity=*/128);
+    const int entered = serve_blocking_burst(pool, kItems);
+    pool.shutdown();
+    ASSERT_EQ(entered, kItems) << "trial " << trial << ": a queued item got no worker";
   }
+}
+
+TEST_F(StagingTest, ServerPoolRetiresIdleWorkersThenServesTheNextBurst) {
+  constexpr int kItems = 4;
+  ThreadPool pool(/*max_threads=*/2 * kItems, /*queue_capacity=*/128);
+  ASSERT_EQ(serve_blocking_burst(pool, kItems), kItems);
+  EXPECT_EQ(pool.worker_count(), static_cast<std::size_t>(kItems));
+
+  // Every worker goes idle and exits after ThreadPool::kIdleRetire.
+  EXPECT_TRUE(poll_until([&] { return pool.worker_count() == 0; },
+                         ThreadPool::kIdleRetire + std::chrono::seconds(3)))
+      << pool.worker_count() << " workers still live";
+
+  // Retired workers strand nothing: a new burst again gets one worker per
+  // blocking item.
+  EXPECT_EQ(serve_blocking_burst(pool, kItems), kItems);
+  pool.shutdown();
+  EXPECT_EQ(pool.worker_count(), 0u);
+}
+
+TEST_F(StagingTest, ServerPoolRetiresSurplusWorkersUnderALightSteadyLoad) {
+  constexpr int kItems = 4;
+  ThreadPool pool(/*max_threads=*/2 * kItems, /*queue_capacity=*/128);
+  ASSERT_EQ(serve_blocking_burst(pool, kItems), kItems);
+
+  // One short task every 50 ms, like a periodic scan. The most recently idle
+  // worker takes each, so the others go idle for kIdleRetire and exit; woken
+  // in turn, every worker would get a task well inside the retire time.
+  const auto deadline = Clock::now() + ThreadPool::kIdleRetire + std::chrono::seconds(3);
+  while (pool.worker_count() > 1 && Clock::now() < deadline) {
+    pool.submit([] {}).get();
+    // ipa-lint: allow(sleep-sync) -- paces the light load; worker_count() decides.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(pool.worker_count(), 1u);
+  pool.shutdown();
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ LOCK_RANKS = {
     "kTransport": 70,
     "kReactor": 72,
     "kReactorStream": 74,
-    "kWorkerPool": 90,
+    "kWorkerPool": 90,  # ipa::ThreadPool queue and workers (site and server pools)
     "kServer": 100,
     "kChannel": 110,
     "kEngineTree": 120,

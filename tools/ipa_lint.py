@@ -34,6 +34,13 @@ Rules (each suppressible, see below):
                       instead. Unlike other rules, an allow() for this one
                       must carry a reason after the marker, e.g.
                       `// ipa-lint: allow(sleep-sync) -- paces the writer, not sync`.
+  raw-thread          constructing a std::thread / std::jthread (a temporary,
+                      a named variable, or a container of them) in src/
+                      outside the blessed owners: the pool
+                      (common/thread_pool.*), the reactor loop, the engine
+                      worker, the model checker and the load generator.
+                      Everything else posts to a ThreadPool or a reactor, so
+                      the site keeps one executor.
   metric-name         a Registry counter()/gauge()/histogram() registration
                       whose literal name breaks the conventions: counters
                       end in _total; histograms end in a unit suffix
@@ -63,7 +70,7 @@ import re
 import sys
 
 RULES = ("raw-mutex", "detach", "blocking-under-lock", "wallclock", "include-guard",
-         "metric-name", "sleep-sync")
+         "metric-name", "sleep-sync", "raw-thread")
 
 # Files allowed to use raw std primitives: the wrapper itself.
 RAW_MUTEX_ALLOWED = {
@@ -72,12 +79,26 @@ RAW_MUTEX_ALLOWED = {
 }
 # The one blessed wall-clock site.
 WALLCLOCK_ALLOWED = {os.path.join("src", "common", "clock.cpp")}
+# The only src/ files that may start threads of their own.
+RAW_THREAD_ALLOWED = {
+    os.path.join("src", "common", "thread_pool.hpp"),
+    os.path.join("src", "common", "thread_pool.cpp"),
+    os.path.join("src", "net", "reactor.cpp"),
+    os.path.join("src", "engine", "engine.cpp"),
+    os.path.join("src", "common", "sched_test.cpp"),
+    os.path.join("src", "loadgen", "loadgen.cpp"),
+}
 
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|shared_lock|scoped_lock)\b"
 )
 DETACH_RE = re.compile(r"\.detach\s*\(")
+# A thread temporary (`std::jthread(...)`), a named one (`std::thread t(...)`)
+# or a container of them; a bare `std::jthread member_;` starts nothing.
+RAW_THREAD_RE = re.compile(
+    r"std::j?thread\s*[({]|std::j?thread\s+\w+\s*[({]|<\s*std::j?thread\s*>"
+)
 WALLCLOCK_RE = re.compile(r"system_clock\s*::\s*now")
 # Lock-scope openers for blocking-under-lock: the annotated guards plus the
 # raw std ones (so a file that also violates raw-mutex still gets scoped).
@@ -198,6 +219,19 @@ def lint_file(path, rel, lines):
             findings.append(
                 Finding(rel, line_no, "detach",
                         "detached thread; keep a jthread handle so shutdown can join")
+            )
+
+        if (
+            "raw-thread" not in skip
+            and rel.startswith("src" + os.sep)
+            and rel not in RAW_THREAD_ALLOWED
+            and RAW_THREAD_RE.search(code)
+            and not allowed(lines, i, "raw-thread")
+        ):
+            findings.append(
+                Finding(rel, line_no, "raw-thread",
+                        "thread started outside the pool; post to a ThreadPool "
+                        "(common/thread_pool.hpp) or a net::Reactor instead")
             )
 
         if (
