@@ -18,7 +18,6 @@ const char* to_string(LockRank rank) {
     case LockRank::kSlowOps: return "slow-ops";
     case LockRank::kTrace: return "trace";
     case LockRank::kRegistry: return "registry";
-    case LockRank::kQueue: return "queue";
     case LockRank::kTransport: return "transport";
     case LockRank::kReactor: return "reactor";
     case LockRank::kReactorStream: return "reactor-stream";

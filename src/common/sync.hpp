@@ -113,7 +113,6 @@ enum class LockRank : int {
                       //   Locator, fault dial ordinals
 
   // --- message plumbing ------------------------------------------------
-  kQueue = 60,        // MpmcQueue internals
   kTransport = 70,    // socket send serialization, fault streams
   kReactor = 72,      // net::Reactor fd table, timer wheel, posted-op queue
   kReactorStream = 74,  // net::Stream write buffer (arms the reactor under it)

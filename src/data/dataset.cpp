@@ -1,6 +1,9 @@
 #include "data/dataset.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -143,6 +146,88 @@ Status DatasetWriter::finish() {
 }
 
 // ---------------------------------------------------------------------------
+// Frame cursor
+// ---------------------------------------------------------------------------
+
+namespace {
+constexpr std::uint64_t kRunBytes = 256 * 1024;  // buffer size unless one frame needs more
+}  // namespace
+
+FrameCursor::FrameCursor(int fd, std::uint64_t begin, std::uint64_t end)
+    : fd_(fd), base_(begin), end_(end) {}
+
+void FrameCursor::reset(std::uint64_t begin, std::uint64_t end) {
+  base_ = begin;
+  end_ = end;
+  pos_ = 0;
+  len_ = 0;
+}
+
+Result<FrameCursor::Header> FrameCursor::header(std::size_t at) const {
+  std::uint64_t body = 0;
+  int shift = 0;
+  for (std::size_t i = at; i < len_; shift += 7) {
+    if (shift >= 64) return data_loss("dataset: corrupt record length");
+    const std::uint8_t byte = buf_[i++];
+    body |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      const std::size_t head = i - at;
+      if (body > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
+      if (head + body > end_ - base_ - at) return data_loss(kNoTiling);
+      return Header{head, body};
+    }
+  }
+  if (base_ + len_ == end_) return data_loss(kNoTiling);
+  return Header{};
+}
+
+Status FrameCursor::fill(std::size_t need) {
+  // Drop the bytes before pos_, keeping the partial frame at pos_.
+  if (pos_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
+    base_ += pos_;
+    len_ -= pos_;
+    pos_ = 0;
+  }
+  const std::uint64_t region = end_ - base_;
+  const auto size = static_cast<std::size_t>(std::min(region, kRunBytes));
+  if (buf_.size() < std::max(need, size)) buf_.resize(std::max(need, size));
+  while (len_ < need) {
+    const auto want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(buf_.size() - len_, region - len_));
+    const ssize_t got =
+        ::pread(fd_, buf_.data() + len_, want, static_cast<off_t>(base_ + len_));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return unavailable("dataset: read failed");
+    if (got == 0) return data_loss("dataset: truncated file");
+    len_ += static_cast<std::size_t>(got);
+  }
+  return Status::ok();
+}
+
+Result<FrameCursor::Run> FrameCursor::next(std::uint64_t max_frames) {
+  starts_.clear();
+  bodies_.clear();
+  std::size_t first = pos_;
+  while (starts_.size() < max_frames && base_ + pos_ < end_) {
+    const Result<Header> frame = header(pos_);
+    if (!frame.is_ok() || frame->head == 0 || frame->head + frame->body > len_ - pos_) {
+      if (!starts_.empty()) break;  // hand out the whole frames first
+      IPA_RETURN_IF_ERROR(frame.status());
+      IPA_RETURN_IF_ERROR(fill(frame->head == 0
+                                   ? len_ - pos_ + 1
+                                   : frame->head + static_cast<std::size_t>(frame->body)));
+      first = pos_;
+      continue;
+    }
+    starts_.push_back(pos_ - first);
+    bodies_.push_back(pos_ - first + frame->head);
+    pos_ += frame->head + static_cast<std::size_t>(frame->body);
+  }
+  return Run{base_ + first, {buf_.data() + first, pos_ - first}, starts_, bodies_};
+}
+
+// ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
@@ -154,40 +239,8 @@ struct DatasetReader::State {
   std::uint32_t stored_crc = 0;
   std::uint64_t position = 0;     // next record to be returned by next()
   SchemaPtr schema = std::make_shared<Schema>();  // interned as records decode
-  ser::Bytes frame_buf;           // reusable frame scratch for read_batch
+  FrameCursor frames{-1, 0, 0};   // at position's frame
 };
-
-namespace {
-
-/// Read a frame's varint length prefix at the current file position.
-Result<std::uint64_t> read_frame_length(std::FILE* fp) {
-  std::uint64_t len = 0;
-  int shift = 0;
-  while (true) {
-    std::uint8_t byte = 0;
-    IPA_RETURN_IF_ERROR(read_bytes(fp, &byte, 1));
-    if (shift >= 64) return data_loss("dataset: corrupt record length");
-    len |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  if (len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
-  return len;
-}
-
-/// Read one length-framed record at the current file position.
-Result<Record> read_record_frame(std::FILE* fp) {
-  IPA_ASSIGN_OR_RETURN(const std::uint64_t len, read_frame_length(fp));
-  ser::Bytes body(static_cast<std::size_t>(len));
-  IPA_RETURN_IF_ERROR(read_bytes(fp, body.data(), body.size()));
-  ser::Reader r(body);
-  auto record = Record::decode(r);
-  IPA_RETURN_IF_ERROR(record.status());
-  if (!r.at_end()) return data_loss("dataset: trailing bytes in record frame");
-  return record;
-}
-
-}  // namespace
 
 Result<DatasetReader> DatasetReader::open(const std::string& path) {
   DatasetReader reader;
@@ -196,6 +249,7 @@ Result<DatasetReader> DatasetReader::open(const std::string& path) {
   st.path = path;
   st.file.fp = std::fopen(path.c_str(), "rb");
   if (st.file.fp == nullptr) return not_found("dataset: cannot open '" + path + "'");
+  st.frames = FrameCursor(::fileno(st.file.fp), 0, 0);
 
   // Header.
   char magic[4];
@@ -327,29 +381,48 @@ Status DatasetReader::seek(std::uint64_t record_index) {
     st.position = record_index;  // at-end position; next() reports kOutOfRange
     return Status::ok();
   }
+  // Start at the index entry, then skip forward by frame headers alone.
   const std::uint64_t slot = record_index / st.index.stride;
-  const std::uint64_t offset = st.index.offsets[slot];
-  const std::uint64_t base = slot * st.index.stride;
-  if (std::fseek(st.file.fp, static_cast<long>(offset), SEEK_SET) != 0) {
-    return data_loss("dataset: seek failed");
+  st.frames.reset(st.index.offsets[slot], st.index.data_end);
+  st.position = slot * st.index.stride;
+  while (st.position < record_index) {
+    IPA_ASSIGN_OR_RETURN(const FrameCursor::Run run, st.frames.next(record_index - st.position));
+    if (run.frames() == 0) return data_loss(FrameCursor::kNoTiling);
+    st.position += run.frames();
   }
-  // Skip forward to the exact record.
-  for (std::uint64_t i = base; i < record_index; ++i) {
-    auto skipped = read_record_frame(st.file.fp);
-    IPA_RETURN_IF_ERROR(skipped.status());
-  }
-  st.position = record_index;
   return Status::ok();
 }
 
-Result<Record> DatasetReader::next() {
+template <typename Decode>
+Status DatasetReader::decode_frames(std::uint64_t count, Decode&& decode) {
   State& st = *state_;
-  if (st.position >= st.info.record_count) {
+  const auto walk = [&]() -> Status {
+    for (const std::uint64_t end = st.position + count; st.position < end;) {
+      IPA_ASSIGN_OR_RETURN(const FrameCursor::Run run, st.frames.next(end - st.position));
+      if (run.frames() == 0) return data_loss(FrameCursor::kNoTiling);
+      for (std::size_t i = 0; i < run.frames(); ++i) {
+        ser::Reader r = run.body(i);
+        IPA_RETURN_IF_ERROR(decode(r));
+        if (!r.at_end()) return data_loss("dataset: trailing bytes in record frame");
+        ++st.position;
+      }
+    }
+    return Status::ok();
+  };
+  const Status status = walk();
+  if (!status.is_ok()) (void)seek(st.position);  // the cursor may be past the bad frame
+  return status;
+}
+
+Result<Record> DatasetReader::next() {
+  if (state_->position >= state_->info.record_count) {
     return out_of_range("dataset: end of records");
   }
-  auto record = read_record_frame(st.file.fp);
-  IPA_RETURN_IF_ERROR(record.status());
-  ++st.position;
+  Result<Record> record = Record();
+  IPA_RETURN_IF_ERROR(decode_frames(1, [&](ser::Reader& r) {
+    record = Record::decode(r);
+    return record.status();
+  }));
   return record;
 }
 
@@ -360,95 +433,34 @@ Result<Record> DatasetReader::read(std::uint64_t i) {
 
 Result<std::uint64_t> DatasetReader::read_batch(RecordBatch& batch,
                                                 std::uint64_t max_records) {
-  State& st = *state_;
-  std::uint64_t appended = 0;
-  // Block-buffered frame parsing: per-frame reads cost three locked stdio
-  // calls per record (two one-byte reads for the varint length plus one for
-  // the body); reading a large chunk and parsing frames out of memory pays
-  // that cost once per ~256 KiB instead.
-  ser::Bytes& buf = st.frame_buf;
-  std::size_t pos = 0;  // next unparsed byte in buf
-  std::size_t len = 0;  // valid bytes in buf
-  constexpr std::size_t kChunk = 256 * 1024;
-
-  // Top up the buffer until at least `needed` bytes are available at `pos`;
-  // false when the file cannot supply them (truncated file).
-  const auto ensure = [&](std::size_t needed) -> bool {
-    while (len - pos < needed) {
-      if (pos > 0) {
-        std::memmove(buf.data(), buf.data() + pos, len - pos);
-        len -= pos;
-        pos = 0;
-      }
-      const std::size_t want = std::max(kChunk, needed);
-      if (buf.size() < want) buf.resize(want);
-      const std::size_t got = std::fread(buf.data() + len, 1, buf.size() - len, st.file.fp);
-      if (got == 0) return false;
-      len += got;
-    }
-    return true;
-  };
-
-  const auto parse = [&]() -> Status {
-    while (appended < max_records && st.position < st.info.record_count) {
-      std::uint64_t frame_len = 0;
-      int shift = 0;
-      while (true) {
-        if (!ensure(1)) return data_loss("dataset: truncated file");
-        const std::uint8_t byte = buf[pos++];
-        if (shift >= 64) return data_loss("dataset: corrupt record length");
-        frame_len |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0) break;
-        shift += 7;
-      }
-      if (frame_len > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
-      if (!ensure(static_cast<std::size_t>(frame_len))) {
-        return data_loss("dataset: truncated file");
-      }
-      ser::Reader r(buf.data() + pos, static_cast<std::size_t>(frame_len));
-      IPA_RETURN_IF_ERROR(batch.append_encoded(r));
-      if (!r.at_end()) return data_loss("dataset: trailing bytes in record frame");
-      pos += static_cast<std::size_t>(frame_len);
-      ++st.position;
-      ++appended;
-    }
-    return Status::ok();
-  };
-
-  const Status status = parse();
-  // Rewind the unconsumed tail so the stdio position matches st.position and
-  // next()/seek() keep working after (even a failed) batch read.
-  if (len > pos && std::fseek(st.file.fp, -static_cast<long>(len - pos), SEEK_CUR) != 0) {
-    return data_loss("dataset: seek failed");
-  }
-  IPA_RETURN_IF_ERROR(status);
-  return appended;
+  const std::uint64_t from = state_->position;
+  IPA_RETURN_IF_ERROR(decode_frames(std::min(max_records, state_->info.record_count - from),
+                                    [&](ser::Reader& r) { return batch.append_encoded(r); }));
+  return state_->position - from;
 }
 
 const DatasetReader::FrameIndex& DatasetReader::frame_index() const { return state_->index; }
+
+FrameCursor DatasetReader::frames(std::uint64_t begin, std::uint64_t end) const {
+  return FrameCursor(::fileno(state_->file.fp), begin, end);
+}
 
 const SchemaPtr& DatasetReader::schema() const { return state_->schema; }
 
 RecordBatch DatasetReader::make_batch() const { return RecordBatch(state_->schema); }
 
 Status DatasetReader::verify_integrity() {
-  State& st = *state_;
-  const std::uint64_t saved = st.position;
-  if (std::fseek(st.file.fp, static_cast<long>(st.index.data_begin), SEEK_SET) != 0) {
-    return data_loss("dataset: seek failed");
-  }
+  FrameCursor scan = frames(state_->index.data_begin, state_->index.data_end);
   Crc32 crc;
-  std::uint64_t remaining = st.index.data_end - st.index.data_begin;
-  std::uint8_t chunk[64 * 1024];
-  while (remaining > 0) {
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, sizeof chunk));
-    IPA_RETURN_IF_ERROR(read_bytes(st.file.fp, chunk, take));
-    crc.update(chunk, take);
-    remaining -= take;
+  std::uint64_t count = 0;
+  while (true) {
+    IPA_ASSIGN_OR_RETURN(const FrameCursor::Run run, scan.next());
+    if (run.frames() == 0) break;
+    crc.update(run.bytes.data(), run.bytes.size());
+    count += run.frames();
   }
-  IPA_RETURN_IF_ERROR(seek(saved));
-  if (crc.value() != st.stored_crc) {
+  if (count != state_->info.record_count) return data_loss(FrameCursor::kNoTiling);
+  if (crc.value() != state_->stored_crc) {
     return data_loss("dataset: CRC mismatch (file corrupted)");
   }
   return Status::ok();

@@ -14,9 +14,14 @@
 // the first at the first record frame, strictly increasing, all before the
 // footer). Seeks and the splitter's part boundaries start from it, so they
 // walk at most one stride of frame headers instead of the whole file.
+//
+// Every walk over the record frames — sequential and batched reads, seeks,
+// the integrity scan and the splitter's part copies — goes through one
+// FrameCursor, the only code that parses a frame header.
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -75,6 +80,66 @@ class DatasetWriter {
   std::uint64_t count_ = 0;
 };
 
+/// Bounded forward reader over the record frames in [begin, end) of an open
+/// .ipd file. It pread(2)s at explicit offsets into one buffer that it keeps
+/// across calls, so no byte is read twice and no file position needs
+/// rewinding. It checks each frame header as it crosses it: a malformed or
+/// oversized length, or a frame that runs past `end`, is data loss. That end
+/// check comes before the buffer grows, so a corrupt length never allocates
+/// more than the region. A walk that reaches `end` proves that the frames
+/// tile the region exactly.
+class FrameCursor {
+ public:
+  /// Whole frames, back to back in their on-disk form. Valid until the
+  /// cursor's next call.
+  struct Run {
+    std::uint64_t offset = 0;             // file offset of bytes[0]
+    std::span<const std::uint8_t> bytes;
+    std::span<const std::size_t> starts;  // frame i begins at bytes[starts[i]]
+    std::span<const std::size_t> bodies;  // and its Record bytes at bytes[bodies[i]]
+
+    std::size_t frames() const { return starts.size(); }
+    /// Offset in `bytes` one past frame i.
+    std::size_t end(std::size_t i) const {
+      return i + 1 < starts.size() ? starts[i + 1] : bytes.size();
+    }
+    ser::Reader body(std::size_t i) const {
+      return ser::Reader(bytes.data() + bodies[i], end(i) - bodies[i]);
+    }
+  };
+
+  static constexpr const char* kNoTiling = "dataset: record frames do not tile the data region";
+
+  /// A cursor over [begin, end) of `fd`, which must outlive it.
+  FrameCursor(int fd, std::uint64_t begin, std::uint64_t end);
+
+  /// Restart the walk at `begin`, over [begin, end).
+  void reset(std::uint64_t begin, std::uint64_t end);
+
+  /// The next run of at most `max_frames` whole frames: every whole frame
+  /// already buffered, or else the next frame, read in full. Empty once the
+  /// walk reaches `end`. A bad header after a good frame ends the run, and
+  /// the next call reports it.
+  Result<Run> next(std::uint64_t max_frames = std::numeric_limits<std::uint64_t>::max());
+
+ private:
+  struct Header {
+    std::size_t head = 0;  // varint bytes; 0 while the buffer ends inside them
+    std::uint64_t body = 0;
+  };
+  Result<Header> header(std::size_t at) const;
+  Status fill(std::size_t need);
+
+  int fd_;
+  std::uint64_t base_;  // file offset of buf_[0]
+  std::uint64_t end_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  // next frame in buf_
+  std::size_t len_ = 0;  // valid bytes in buf_
+  std::vector<std::size_t> starts_;
+  std::vector<std::size_t> bodies_;
+};
+
 /// Random-access reader.
 class DatasetReader {
  public:
@@ -123,11 +188,21 @@ class DatasetReader {
   };
   const FrameIndex& frame_index() const;
 
-  /// Verify the stored CRC against the record bytes.
+  /// A cursor over [begin, end) of this reader's file, beside the reader's
+  /// own (the splitter's part tasks walk their ranges concurrently). It
+  /// shares the reader's file handle, so it must not outlive the reader.
+  FrameCursor frames(std::uint64_t begin, std::uint64_t end) const;
+
+  /// Verify that exactly size() frames tile the record region and that the
+  /// stored CRC matches their bytes.
   Status verify_integrity();
 
  private:
   DatasetReader() = default;
+
+  /// Decode the next `count` frames through `decode`, advancing position().
+  template <typename Decode>
+  Status decode_frames(std::uint64_t count, Decode&& decode);
 
   struct State;
   std::unique_ptr<State> state_;

@@ -1,11 +1,7 @@
 #include "data/splitter.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <future>
-#include <memory>
-#include <span>
 
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -21,105 +17,13 @@ struct Boundary {
   std::uint64_t offset = 0;
 };
 
-/// Buffered forward walk over the record frames in [begin, end) of a source
-/// file, handed out as runs of whole frames. Every frame header is checked as
-/// it is crossed: a corrupt or oversized length, or a frame running past
-/// `end`, is data loss. A walk that reaches `end` therefore proves the frames
-/// tile the region exactly.
-class FrameWalker {
- public:
-  static Result<FrameWalker> open(const std::string& path, std::uint64_t begin,
-                                  std::uint64_t end) {
-    FrameWalker walker;
-    walker.fp_.reset(std::fopen(path.c_str(), "rb"));
-    if (!walker.fp_) return not_found("split: cannot reopen '" + path + "'");
-    if (std::fseek(walker.fp_.get(), static_cast<long>(begin), SEEK_SET) != 0) {
-      return data_loss("split: seek failed in '" + path + "'");
-    }
-    walker.base_ = begin;
-    walker.end_ = end;
-    walker.buf_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(kRunBytes, end - begin)));
-    return walker;
-  }
-
-  /// The next run of whole frames: about kRunBytes, or one frame if that is
-  /// larger; empty once the walk reaches `end`. `starts` receives each
-  /// frame's offset within the run. The run stays valid until the next call.
-  Result<std::span<const std::uint8_t>> next_run(std::vector<std::size_t>& starts) {
-    // Drop the previous run, keeping the partial frame buffered after it.
-    if (consumed_ > 0) std::memmove(buf_.data(), buf_.data() + consumed_, len_ - consumed_);
-    len_ -= consumed_;
-    base_ += consumed_;
-    consumed_ = 0;
-    starts.clear();
-    std::size_t pos = 0;
-    while (true) {
-      const auto want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(buf_.size() - len_, end_ - base_ - len_));
-      if (want > 0) {
-        if (std::fread(buf_.data() + len_, 1, want, fp_.get()) != want) {
-          return data_loss("split: truncated source file");
-        }
-        len_ += want;
-      }
-      const bool at_end = base_ + len_ == end_;
-      while (pos < len_) {
-        std::uint64_t body = 0;
-        std::size_t at = pos;
-        int shift = 0;
-        bool complete = false;
-        while (at < len_ && !complete) {
-          const std::uint8_t byte = buf_[at++];
-          if (shift >= 64) return data_loss("dataset: corrupt record length");
-          body |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-          complete = (byte & 0x80) == 0;
-          shift += 7;
-        }
-        if (!complete && at_end) return data_loss(kNoTiling);
-        if (!complete) break;
-        if (body > ser::Reader::kMaxFieldLen) return data_loss("dataset: oversized record");
-        const std::uint64_t frame = (at - pos) + body;
-        if (frame > end_ - base_ - pos) return data_loss(kNoTiling);
-        if (frame > len_ - pos) break;
-        starts.push_back(pos);
-        pos += static_cast<std::size_t>(frame);
-      }
-      if (!starts.empty() || (at_end && pos == len_)) break;
-      // Not one whole frame is buffered: grow the buffer until the first fits.
-      buf_.resize(2 * buf_.size());
-    }
-    consumed_ = pos;
-    return std::span<const std::uint8_t>(buf_.data(), pos);
-  }
-
-  /// File offset of the run last returned by next_run().
-  std::uint64_t run_offset() const { return base_; }
-
-  static constexpr const char* kNoTiling = "split: record frames do not tile the data region";
-
- private:
-  static constexpr std::uint64_t kRunBytes = 256 * 1024;
-
-  FrameWalker() = default;
-
-  struct Closer {
-    void operator()(std::FILE* fp) const { std::fclose(fp); }
-  };
-
-  std::unique_ptr<std::FILE, Closer> fp_;
-  std::uint64_t base_ = 0;  // file offset of buf_[0]
-  std::uint64_t end_ = 0;
-  std::vector<std::uint8_t> buf_;
-  std::size_t len_ = 0;       // valid bytes in buf_
-  std::size_t consumed_ = 0;  // bytes of buf_ handed out by the last run
-};
-
 /// Part k starts at the first record whose cumulative framed bytes reach
 /// k*total/N. The sparse index gives the cumulative bytes at every stride-th
 /// record, so each boundary walks only the frames of the one index block it
 /// falls in. bounds[0] and bounds[N] are the data region's ends.
-Result<std::vector<Boundary>> place_boundaries(const std::string& path, const FrameIndex& index,
-                                               std::uint64_t records, int num_parts) {
+Result<std::vector<Boundary>> place_boundaries(const DatasetReader& source, int num_parts) {
+  const FrameIndex& index = source.frame_index();
+  const std::uint64_t records = source.size();
   const auto parts = static_cast<std::uint64_t>(num_parts);
   std::vector<Boundary> bounds(static_cast<std::size_t>(parts) + 1,
                                Boundary{records, index.data_end});
@@ -133,7 +37,6 @@ Result<std::vector<Boundary>> place_boundaries(const std::string& path, const Fr
                                     : Boundary{records, index.data_end};
   };
   const std::uint64_t total = index.data_end - index.data_begin;
-  std::vector<std::size_t> starts;
   for (std::uint64_t k = 1; k < parts; ++k) {
     const std::uint64_t target = index.data_begin + total * k / parts;
     // First known point at or past the target (the last one always is); the
@@ -150,18 +53,17 @@ Result<std::vector<Boundary>> place_boundaries(const std::string& path, const Fr
     }
     const Boundary from = point(lo == 0 ? 0 : lo - 1);
     const Boundary to = point(lo == 0 ? 1 : lo);
-    IPA_ASSIGN_OR_RETURN(FrameWalker walker, FrameWalker::open(path, from.offset, to.offset));
+    FrameCursor frames = source.frames(from.offset, to.offset);
     std::uint64_t record = from.record;
     bool placed = false;
     while (!placed) {
-      IPA_ASSIGN_OR_RETURN(const auto run, walker.next_run(starts));
-      if (run.empty()) return data_loss(FrameWalker::kNoTiling);
-      for (std::size_t i = 0; i < starts.size() && !placed; ++i) {
-        const std::uint64_t frame_end =
-            walker.run_offset() + (i + 1 < starts.size() ? starts[i + 1] : run.size());
+      IPA_ASSIGN_OR_RETURN(const FrameCursor::Run run, frames.next());
+      if (run.frames() == 0) return data_loss(FrameCursor::kNoTiling);
+      for (std::size_t i = 0; i < run.frames() && !placed; ++i) {
+        const std::uint64_t frame_end = run.offset + run.end(i);
         ++record;
         if (record >= to.record && (record > to.record || frame_end != to.offset)) {
-          return data_loss(FrameWalker::kNoTiling);
+          return data_loss(FrameCursor::kNoTiling);
         }
         if (frame_end >= target) {
           bounds[static_cast<std::size_t>(k)] = Boundary{record, frame_end};
@@ -177,11 +79,12 @@ Result<std::vector<Boundary>> place_boundaries(const std::string& path, const Fr
 /// part file in runs. The walk checks every frame header it copies, that the
 /// frames tile [from.offset, to.offset) with exactly to.record - from.record
 /// records, and that each sparse-index entry in the range sits on its
-/// record's frame. Each task owns its file handles, so parts stream out
-/// concurrently.
-Result<PartInfo> write_part(const std::string& source_path, const DatasetInfo& info,
-                            const FrameIndex& index, Boundary from, Boundary to, int k,
+/// record's frame. Each task owns its cursor and part file, and the cursors
+/// pread the shared source handle, so parts stream out concurrently.
+Result<PartInfo> write_part(const DatasetReader& source, Boundary from, Boundary to, int k,
                             int num_parts, const std::string& out_prefix) {
+  const DatasetInfo& info = source.info();
+  const FrameIndex& index = source.frame_index();
   auto metadata = info.metadata;
   metadata["part.index"] = std::to_string(k);
   metadata["part.count"] = std::to_string(num_parts);
@@ -197,24 +100,22 @@ Result<PartInfo> write_part(const std::string& source_path, const DatasetInfo& i
       DatasetWriter writer,
       DatasetWriter::create(part.path, info.name + "/part" + std::to_string(k),
                             std::move(metadata)));
-  IPA_ASSIGN_OR_RETURN(FrameWalker walker,
-                       FrameWalker::open(source_path, from.offset, to.offset));
-  std::vector<std::size_t> starts;
+  FrameCursor frames = source.frames(from.offset, to.offset);
   std::uint64_t record = from.record;
   while (true) {
-    IPA_ASSIGN_OR_RETURN(const auto run, walker.next_run(starts));
-    if (run.empty()) break;
-    if (starts.size() > to.record - record) return data_loss(FrameWalker::kNoTiling);
-    for (const std::size_t start : starts) {
+    IPA_ASSIGN_OR_RETURN(const FrameCursor::Run run, frames.next());
+    if (run.frames() == 0) break;
+    if (run.frames() > to.record - record) return data_loss(FrameCursor::kNoTiling);
+    for (const std::size_t start : run.starts) {
       if (record % index.stride == 0 &&
-          index.offsets[record / index.stride] != walker.run_offset() + start) {
+          index.offsets[record / index.stride] != run.offset + start) {
         return data_loss("split: sparse index disagrees with the record frames");
       }
       ++record;
     }
-    IPA_RETURN_IF_ERROR(writer.append_frames(run.data(), run.size(), starts));
+    IPA_RETURN_IF_ERROR(writer.append_frames(run.bytes.data(), run.bytes.size(), run.starts));
   }
-  if (record != to.record) return data_loss(FrameWalker::kNoTiling);
+  if (record != to.record) return data_loss(FrameCursor::kNoTiling);
   IPA_RETURN_IF_ERROR(writer.finish());
 
   // Record the finished part's size.
@@ -238,22 +139,18 @@ Result<SplitResult> split_dataset(const std::string& source_path, const std::str
   result.total_records = reader.size();
   result.total_bytes = reader.info().file_bytes;
 
-  const FrameIndex& index = reader.frame_index();
-  IPA_ASSIGN_OR_RETURN(const std::vector<Boundary> bounds,
-                       place_boundaries(source_path, index, reader.size(), num_parts));
+  IPA_ASSIGN_OR_RETURN(const std::vector<Boundary> bounds, place_boundaries(reader, num_parts));
 
   // One writer task per part on the shared site pool (the paper:
   // "transfers are done in parallel"). Results are collected in part order,
   // so the first failing part determines the error deterministically.
-  const DatasetInfo& info = reader.info();
   std::vector<std::future<Result<PartInfo>>> parts;
   parts.reserve(static_cast<std::size_t>(num_parts));
   for (int k = 0; k < num_parts; ++k) {
     const Boundary from = bounds[static_cast<std::size_t>(k)];
     const Boundary to = bounds[static_cast<std::size_t>(k) + 1];
-    parts.push_back(site_pool().submit([&source_path, &info, &index, from, to, k, num_parts,
-                                           &out_prefix] {
-      return write_part(source_path, info, index, from, to, k, num_parts, out_prefix);
+    parts.push_back(site_pool().submit([&reader, from, to, k, num_parts, &out_prefix] {
+      return write_part(reader, from, to, k, num_parts, out_prefix);
     }));
   }
   Status failure = Status::ok();

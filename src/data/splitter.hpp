@@ -7,13 +7,14 @@
 //
 // No record is ever decoded. Part boundaries are placed from the source's
 // sparse offset index: it gives the cumulative framed bytes at every
-// stride-th record, so each boundary walks the frame headers of only the one
-// index block it falls in. The parts are then written concurrently on the
-// shared site pool. Each task walks and checks its own frame headers
-// while it copies them in runs: the frames must tile its byte range exactly,
-// with the last part ending at the footer, so together the tasks check that
-// the whole record region tiles. The output bytes are identical to a
-// sequential decode/re-encode split.
+// stride-th record, so each boundary crosses the frame headers of only the
+// one index block it falls in. The parts are then written concurrently on
+// the shared site pool. Each task copies its range in runs of whole frames
+// from its own FrameCursor over the source's file handle, which checks every
+// frame header: the frames must tile the task's byte range exactly, with the
+// last part ending at the footer, so together the tasks check that the whole
+// record region tiles. The output bytes are identical to a sequential
+// decode/re-encode split.
 #pragma once
 
 #include <string>

@@ -189,6 +189,7 @@ class Reader {
   /// Bulk fixed-width doubles into caller storage (columnar payloads).
   Status f64_array(double* out, std::size_t n) {
     IPA_RETURN_IF_ERROR(need(n * sizeof(double)));
+    if (n == 0) return Status::ok();  // `out` may be null: memcpy forbids that even for 0 bytes
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, data_ + pos_, n * sizeof(double));
     } else {

@@ -18,7 +18,7 @@ class WellOrdered {
  public:
   void descend() {
     LockGuard outer(session_mutex_);  // rank 150
-    LockGuard inner(*queue_mutex_);   // rank 60: strictly below, fine
+    LockGuard inner(*transport_mutex_);   // rank 70: strictly below, fine
   }
 
   void wait_ready() {
@@ -41,8 +41,8 @@ class WellOrdered {
 
  private:
   Mutex session_mutex_{LockRank::kSession, "fixture-session"};
-  std::unique_ptr<Mutex> queue_mutex_ =
-      std::make_unique<Mutex>(LockRank::kQueue, "fixture-queue");
+  std::unique_ptr<Mutex> transport_mutex_ =
+      std::make_unique<Mutex>(LockRank::kTransport, "fixture-transport");
   CondVar ready_cv_;
   bool ready_ = false;
 };

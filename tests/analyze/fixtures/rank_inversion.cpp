@@ -1,6 +1,6 @@
 // ipa-analyze self-test fixture: must trip exactly `rank-inversion`.
 //
-// kQueue (60) is held while kServer (100) is acquired: nested ranks must
+// kTransport (70) is held while kServer (100) is acquired: nested ranks must
 // strictly descend, so acquiring an equal-or-higher rank under a held lock
 // is the static form of the runtime rank abort.
 #include "common/sync.hpp"
@@ -10,12 +10,12 @@ namespace fixture {
 class Inverted {
  public:
   void ascending_nesting() {
-    LockGuard outer(queue_mutex_);
-    LockGuard inner(server_mutex_);  // rank 100 under rank 60: inversion
+    LockGuard outer(transport_mutex_);
+    LockGuard inner(server_mutex_);  // rank 100 under rank 70: inversion
   }
 
  private:
-  Mutex queue_mutex_{LockRank::kQueue, "fixture-queue"};
+  Mutex transport_mutex_{LockRank::kTransport, "fixture-transport"};
   Mutex server_mutex_{LockRank::kServer, "fixture-server"};
 };
 

@@ -14,17 +14,17 @@ namespace {
 TEST(LockRank, RankNamesAreStable) {
   // Abort messages (and the death-test regexes below) print these names.
   EXPECT_STREQ(to_string(LockRank::kLog), "log");
-  EXPECT_STREQ(to_string(LockRank::kQueue), "queue");
+  EXPECT_STREQ(to_string(LockRank::kTransport), "transport");
   EXPECT_STREQ(to_string(LockRank::kSession), "session");
   EXPECT_STREQ(to_string(LockRank::kUnranked), "unranked");
 }
 
 TEST(LockRank, DescendingAcquisitionIsAllowed) {
   Mutex session(LockRank::kSession, "session");
-  Mutex queue(LockRank::kQueue, "queue");
+  Mutex transport(LockRank::kTransport, "transport");
   Mutex log(LockRank::kLog, "log");
   LockGuard a(session);
-  LockGuard b(queue);
+  LockGuard b(transport);
   LockGuard c(log);
 #if IPA_LOCK_CHECKS
   EXPECT_EQ(sync_detail::held_depth(), 3);
@@ -33,7 +33,7 @@ TEST(LockRank, DescendingAcquisitionIsAllowed) {
 
 TEST(LockRank, ReleaseUnwindsTheHeldStack) {
   Mutex outer(LockRank::kSession, "outer");
-  Mutex inner(LockRank::kQueue, "inner");
+  Mutex inner(LockRank::kTransport, "inner");
   {
     LockGuard a(outer);
     { LockGuard b(inner); }
@@ -130,7 +130,7 @@ TEST(LockRankDeathTest, ChecksCompiledOut) {
 #endif  // IPA_LOCK_CHECKS
 
 TEST(CondVarTest, WaitReleasesAndReacquires) {
-  Mutex mutex(LockRank::kQueue, "cv-test");
+  Mutex mutex(LockRank::kTransport, "cv-test");
   CondVar cv;
   bool ready = false;
 
@@ -149,7 +149,7 @@ TEST(CondVarTest, WaitReleasesAndReacquires) {
 }
 
 TEST(CondVarTest, WaitForTimesOut) {
-  Mutex mutex(LockRank::kQueue, "cv-timeout");
+  Mutex mutex(LockRank::kTransport, "cv-timeout");
   CondVar cv;
   UniqueLock lock(mutex);
   const bool signalled = cv.wait_for(lock, std::chrono::milliseconds(10),
@@ -158,7 +158,7 @@ TEST(CondVarTest, WaitForTimesOut) {
 }
 
 TEST(UniqueLockTest, ManualUnlockRelock) {
-  Mutex mutex(LockRank::kQueue, "relock");
+  Mutex mutex(LockRank::kTransport, "relock");
   UniqueLock lock(mutex);
   EXPECT_TRUE(lock.owns_lock());
   lock.unlock();
@@ -171,7 +171,7 @@ TEST(UniqueLockTest, ManualUnlockRelock) {
 }
 
 TEST(MutexTest, TryLockTracksRank) {
-  Mutex mutex(LockRank::kQueue, "try");
+  Mutex mutex(LockRank::kTransport, "try");
   ASSERT_TRUE(mutex.try_lock());
 #if IPA_LOCK_CHECKS
   EXPECT_EQ(sync_detail::held_depth(), 1);

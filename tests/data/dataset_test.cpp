@@ -1,6 +1,7 @@
 #include "data/dataset.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -165,6 +166,40 @@ TEST_F(DatasetTest, IntegrityCheckCatchesBitFlipInsideAWordStride) {
     ASSERT_TRUE(reader.is_ok()) << "offset " << at;  // header, footer and index intact
     EXPECT_EQ(reader->verify_integrity().code(), StatusCode::kDataLoss) << "offset " << at;
   }
+}
+
+TEST_F(DatasetTest, CorruptFrameLengthIsDataLossWithoutAHugeAllocation) {
+  ASSERT_TRUE(write_dataset(path("h.ipd"), "h", make_records(4)).is_ok());
+  std::uint64_t first_frame = 0;
+  {
+    auto reader = DatasetReader::open(path("h.ipd"));
+    ASSERT_TRUE(reader.is_ok());
+    first_frame = reader->frame_index().data_begin;
+  }
+  // The first frame now claims a body of 2^30 - 1 bytes: under the field
+  // cap, but far past the end of the record region.
+  {
+    std::FILE* fp = std::fopen(path("h.ipd").c_str(), "r+b");
+    ASSERT_NE(fp, nullptr);
+    std::fseek(fp, static_cast<long>(first_frame), SEEK_SET);
+    const unsigned char huge[] = {0xFF, 0xFF, 0xFF, 0xFF, 0x03};
+    std::fwrite(huge, 1, sizeof huge, fp);
+    std::fclose(fp);
+  }
+  const auto peak_mib = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss / 1024;  // ru_maxrss is in KiB
+  };
+  const long before = peak_mib();
+  auto reader = DatasetReader::open(path("h.ipd"));
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();  // footer and index intact
+  EXPECT_EQ(reader->next().status().code(), StatusCode::kDataLoss);
+  RecordBatch batch = reader->make_batch();
+  EXPECT_EQ(reader->read_batch(batch, 16).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reader->seek(1).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reader->verify_integrity().code(), StatusCode::kDataLoss);
+  EXPECT_LT(peak_mib() - before, 64);
 }
 
 TEST_F(DatasetTest, OpenRejectsGarbage) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "data/dataset.hpp"
 #include "data/record_batch.hpp"
@@ -210,7 +212,10 @@ TEST(RecordBatch, ClearKeepsSchemaAndSlotIds) {
 class ReadBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-record-batch-test";
+    // One directory per test: ctest runs the tests of a suite concurrently.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-record-batch-" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -259,6 +264,119 @@ TEST_F(ReadBatchTest, ReadBatchResumesAfterSeek) {
   EXPECT_EQ(batch.index(0), 25u);
   EXPECT_EQ(batch.to_records(),
             std::vector<Record>(records.begin() + 25, records.end()));
+}
+
+/// Bytes this process has read so far (`rchar` in /proc/self/io).
+std::uint64_t bytes_read_by_process() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  std::uint64_t value = 0;
+  while (io >> key >> value) {
+    if (key == "rchar:") return value;
+  }
+  ADD_FAILURE() << "no rchar in /proc/self/io";
+  return 0;
+}
+
+TEST_F(ReadBatchTest, SmallBatchesReadEachByteOnce) {
+  const std::string path = (dir_ / "large.ipd").string();
+  {
+    auto writer = DatasetWriter::create(path, "large");
+    ASSERT_TRUE(writer.is_ok());
+    Record record = make_event(0);
+    record.set("px", Value::RealVec(60, 1.5));  // ~0.5 KB per record
+    for (std::uint64_t i = 0; i < 24000; ++i) {
+      record.set_index(i);
+      ASSERT_TRUE(writer->append(record).is_ok());
+    }
+    ASSERT_TRUE(writer->finish().is_ok());
+  }
+  const std::uint64_t file_bytes = std::filesystem::file_size(path);
+  ASSERT_GT(file_bytes, 11'000'000u);
+
+  const std::uint64_t before = bytes_read_by_process();
+  auto reader = DatasetReader::open(path);
+  ASSERT_TRUE(reader.is_ok());
+  RecordBatch batch = reader->make_batch();
+  std::uint64_t total = 0;
+  while (true) {
+    batch.clear();
+    auto appended = reader->read_batch(batch, 16);
+    ASSERT_TRUE(appended.is_ok()) << appended.status().to_string();
+    if (*appended == 0) break;
+    total += *appended;
+  }
+  const std::uint64_t read = bytes_read_by_process() - before;
+  EXPECT_EQ(total, 24000u);
+  EXPECT_LE(static_cast<double>(read), 1.1 * static_cast<double>(file_bytes))
+      << read << " bytes read for a " << file_bytes << "-byte file";
+}
+
+TEST_F(ReadBatchTest, MixedReadsStayInStep) {
+  const std::string path = (dir_ / "mixed.ipd").string();
+  std::vector<Record> records;
+  for (std::uint64_t i = 0; i < 1500; ++i) records.push_back(make_event(i));
+  ASSERT_TRUE(write_dataset(path, "mixed", records).is_ok());
+  auto all = read_all(path);
+  ASSERT_TRUE(all.is_ok());
+  ASSERT_EQ(*all, records);
+
+  auto reader = DatasetReader::open(path);
+  ASSERT_TRUE(reader.is_ok());
+  RecordBatch batch = reader->make_batch();
+  std::uint64_t at = 0;  // the record the reader should return next
+  const auto batch_of = [&](std::uint64_t n) {
+    batch.clear();
+    auto appended = reader->read_batch(batch, n);
+    ASSERT_TRUE(appended.is_ok()) << appended.status().to_string();
+    const std::uint64_t want = std::min<std::uint64_t>(n, all->size() - at);
+    ASSERT_EQ(*appended, want) << "batch of " << n << " at " << at;
+    EXPECT_EQ(batch.to_records(),
+              std::vector<Record>(all->begin() + static_cast<long>(at),
+                                  all->begin() + static_cast<long>(at + want)))
+        << "batch of " << n << " at " << at;
+    at += want;
+  };
+  const auto one = [&] {
+    auto record = reader->next();
+    ASSERT_TRUE(record.is_ok()) << record.status().to_string();
+    EXPECT_EQ(*record, (*all)[at]) << "next() at " << at;
+    ++at;
+  };
+  const auto seek = [&](std::uint64_t i) {
+    ASSERT_TRUE(reader->seek(i).is_ok());
+    at = i;
+  };
+
+  batch_of(1);
+  one();
+  batch_of(7);
+  one();
+  batch_of(256);
+  one();
+  one();
+  seek(256 + 100);  // the middle of the second index stride
+  batch_of(7);
+  one();
+  batch_of(256);
+  batch_of(1);
+  one();
+  seek(5);
+  one();
+  batch_of(256);
+  seek(1024 + 255);  // the last record of a stride
+  batch_of(1);
+  one();
+  while (at < all->size()) {
+    batch_of(256);
+    if (at < all->size()) one();
+  }
+  EXPECT_EQ(reader->position(), all->size());
+  batch.clear();
+  auto appended = reader->read_batch(batch, 256);
+  ASSERT_TRUE(appended.is_ok());
+  EXPECT_EQ(*appended, 0u);
+  EXPECT_EQ(reader->next().status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 // hang or over-allocate. These are deterministic random sweeps (seeded
 // xoshiro), i.e. poor man's fuzzing wired into the normal test run.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 
 #include "aida/tree.hpp"
 #include "catalog/query.hpp"
 #include "common/rng.hpp"
 #include "common/uri.hpp"
+#include "data/dataset.hpp"
 #include "data/record.hpp"
+#include "data/splitter.hpp"
 #include "engine/code_bundle.hpp"
 #include "http/http.hpp"
 #include "script/parser.hpp"
@@ -90,6 +96,68 @@ TEST(Fuzz, RecordDecodeSurvivesMutations) {
     auto result = data::Record::decode(r);
     (void)result;
   }
+}
+
+TEST(Fuzz, DatasetReadersSurviveMutatedFiles) {
+  // Byte flips and truncations of a small .ipd file (stride 4, so the sparse
+  // index has several entries): every reader entry point and the splitter
+  // must answer with a Status.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / ("ipa-fuzz-dataset-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string clean = (dir / "clean.ipd").string();
+  const std::string file = (dir / "mutated.ipd").string();
+  {
+    auto writer = data::DatasetWriter::create(clean, "fuzz", {{"k", "v"}}, 4);
+    ASSERT_TRUE(writer.is_ok());
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      data::Record record(i);
+      record.set("x", 0.5 * static_cast<double>(i));
+      record.set("n", static_cast<std::int64_t>(i));
+      record.set("v", data::Value::RealVec(i % 5, 1.0));
+      ASSERT_TRUE(writer->append(record).is_ok());
+    }
+    ASSERT_TRUE(writer->finish().is_ok());
+  }
+  ser::Bytes valid(std::filesystem::file_size(clean));
+  std::ifstream(clean, std::ios::binary)
+      .read(reinterpret_cast<char*>(valid.data()), static_cast<std::streamsize>(valid.size()));
+
+  Rng rng(163);
+  for (int trial = 0; trial < 400; ++trial) {
+    ser::Bytes bytes = valid;
+    const int flips = 1 + static_cast<int>(rng.uniform_u64(0, 3));
+    for (int f = 0; f < flips; ++f) {
+      bytes[static_cast<std::size_t>(rng.uniform_u64(0, bytes.size() - 1))] ^=
+          static_cast<std::uint8_t>(1 + rng.uniform_u64(0, 254));
+    }
+    if (rng.uniform_u64(0, 3) == 0) {
+      bytes.resize(static_cast<std::size_t>(rng.uniform_u64(0, bytes.size())));
+    }
+    std::ofstream(file, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+
+    auto reader = data::DatasetReader::open(file);
+    if (reader.is_ok()) {
+      data::RecordBatch batch = reader->make_batch();
+      for (int step = 0; step < 64; ++step) {
+        batch.clear();
+        auto appended = reader->read_batch(batch, 1 + rng.uniform_u64(0, 6));
+        if (!appended.is_ok() || *appended == 0) break;
+      }
+      for (int step = 0; step < 8; ++step) {
+        (void)reader->seek(rng.uniform_u64(0, reader->size()));
+        (void)reader->next();
+      }
+      (void)reader->verify_integrity();
+      (void)reader->next();
+    }
+    auto split = data::split_dataset(file, (dir / "part").string(), 3);
+    (void)split;
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(Fuzz, ProtocolDecodersSurviveGarbage) {

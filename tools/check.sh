@@ -11,8 +11,9 @@
 #   1d /debug endpoint smoke: boot build/tools/ipa_site, curl /metrics,
 #      /status and every /debug/* endpoint (tools/debug_smoke.py)
 #   2  sanitizer pass over the fault-sensitive suites (chaos, net, rpc,
-#      obs, common) and the PawScript interpreter (script) — address
-#      and/or undefined
+#      obs, common), the PawScript interpreter (script) and the .ipd
+#      readers and their fuzz sweeps (data, fuzz) — address and/or
+#      undefined
 #   2u UBSan over the value-heavy suites (data, serialize, xml, script),
 #      the wire-facing ones (net, rpc, http, loadgen) and the flight
 #      recorder (obs), where framing arithmetic, enum decoding and raw
@@ -71,13 +72,13 @@ echo "== tier 1d: /debug endpoint smoke against a live site =="
 python3 tools/debug_smoke.py --site build/tools/ipa_site
 
 for s in $sanitizers; do
-  echo "== tier 2: ${s} sanitizer over chaos/net/rpc/obs/common/script =="
+  echo "== tier 2: ${s} sanitizer over chaos/net/rpc/obs/common/script/data/fuzz =="
   cmake -B "build-${s}" -S . -DIPA_SANITIZE="${s}" >/dev/null
   cmake --build "build-${s}" -j "$jobs" \
     --target ipa_test_chaos ipa_test_net ipa_test_rpc ipa_test_obs \
-    ipa_test_common ipa_test_script
+    ipa_test_common ipa_test_script ipa_test_data ipa_test_fuzz
   (cd "build-${s}" && \
-    ctest --output-on-failure -j "$jobs" -L 'chaos|net|rpc|obs|common|script')
+    ctest --output-on-failure -j "$jobs" -L 'chaos|net|rpc|obs|common|script|data|fuzz')
 done
 
 case " $sanitizers " in *" undefined "*)
@@ -100,7 +101,7 @@ echo "== tier thread: TSan over reactor/servers + staging + primitives + service
 # caller threads; the mux RpcClient shares one connection across callers;
 # the parallel split, session fan-out, off-lock merges and the periodic
 # heartbeat/dead-engine jobs all cross the shared site pool; and
-# MpmcQueue/sync underpin every pool. TSan is the tier that would catch a
+# sync underpins every pool. TSan is the tier that would catch a
 # race in any of those hand-offs, including FailureTest's kill/restart path.
 cmake -B build-thread -S . -DIPA_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "$jobs" --target ipa_test_staging ipa_test_common \

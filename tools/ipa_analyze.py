@@ -71,7 +71,6 @@ LOCK_RANKS = {
     "kSlowOps": 35,
     "kTrace": 40,
     "kRegistry": 50,
-    "kQueue": 60,
     "kTransport": 70,
     "kReactor": 72,
     "kReactorStream": 74,
