@@ -24,8 +24,8 @@ const char* to_string(LockRank rank) {
     case LockRank::kWorkerPool: return "worker-pool";
     case LockRank::kServer: return "server";
     case LockRank::kChannel: return "channel";
-    case LockRank::kEngineTree: return "engine-tree";
     case LockRank::kEngine: return "engine";
+    case LockRank::kEngineRun: return "engine-run";
     case LockRank::kAida: return "aida";
     case LockRank::kSession: return "session";
     case LockRank::kResourceSet: return "resource-set";
@@ -46,8 +46,9 @@ const char* to_string(LockRank rank) {
 namespace sync_detail {
 namespace {
 
-// LockRank values are multiples of 5 in [0, 190]; one slot each.
-constexpr int kRankSlots = 40;
+// LockRank values lie in [0, 190]; one slot per value, so every rank
+// (72 and 74 included) is counted apart.
+constexpr int kRankSlots = 200;
 
 struct RankStat {
   std::atomic<std::uint64_t> contended{0};
@@ -57,7 +58,7 @@ struct RankStat {
 RankStat g_contention[kRankSlots];
 
 int rank_slot(LockRank rank) {
-  const int slot = static_cast<int>(rank) / 5;
+  const int slot = static_cast<int>(rank);
   return (slot < 0 || slot >= kRankSlots) ? 0 : slot;
 }
 
@@ -82,7 +83,7 @@ std::vector<LockContention> lock_contention_snapshot() {
         sync_detail::g_contention[slot].contended.load(std::memory_order_relaxed);
     if (contended == 0) continue;
     LockContention entry;
-    entry.rank = static_cast<LockRank>(slot * 5);
+    entry.rank = static_cast<LockRank>(slot);
     entry.contended = contended;
     entry.wait_s =
         static_cast<double>(

@@ -121,8 +121,9 @@ enum class LockRank : int {
   kChannel = 110,     // RpcClient / http::Client per-channel call locks
 
   // --- analysis state --------------------------------------------------
-  kEngineTree = 120,  // AnalysisEngine results tree (taken under kEngine)
   kEngine = 130,      // AnalysisEngine control state
+  kEngineRun = 135,   // AnalysisEngine run lock: reader, analyzer and tree,
+                      //   held by an executing run slice or a staging verb
   kAida = 140,        // AidaManager merge state (pins snapshots; merges unlocked)
   kSession = 150,     // services::Session seats + phase timings
   kResourceSet = 160, // rpc::ResourceSet instance maps (holds kIds)

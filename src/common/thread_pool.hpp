@@ -96,10 +96,11 @@ class ThreadPool {
   bool stopping_ IPA_GUARDED_BY(mutex_) = false;
 };
 
-/// The site's background pool: part writers, per-seat fan-out and periodic
-/// jobs (net/periodic.hpp). The tasks mostly wait on disks and sockets, so
-/// it may grow to at least 16 threads (the paper's node count) whatever the
-/// core count. Created on first use, joined at exit.
+/// The site's background pool: engine run slices (engine/engine.hpp), part
+/// writers, per-seat fan-out and periodic jobs (net/periodic.hpp). It may
+/// grow to at least 16 threads (the paper's node count) whatever the core
+/// count, so 16 engines run side by side. Created on first use, joined at
+/// exit.
 ThreadPool& site_pool();
 
 }  // namespace ipa

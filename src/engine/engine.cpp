@@ -2,6 +2,7 @@
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
@@ -40,6 +41,10 @@ struct EngineMetrics {
   }
 };
 
+/// How long one run slice may hold its pool thread before it reposts
+/// itself: a heartbeat queued behind it waits about this long.
+constexpr double kSliceQuantumS = 0.005;
+
 /// Flight-journal a state transition; called on the thread that made it.
 void note_state(EngineState state) {
   obs::flight(obs::FlightKind::kState, "engine.state", to_string(state));
@@ -62,7 +67,6 @@ std::string_view to_string(EngineState state) {
 AnalysisEngine::AnalysisEngine(Config config) : config_(std::move(config)) {
   if (config_.snapshot_every == 0) config_.snapshot_every = 1;
   if (config_.batch_size == 0) config_.batch_size = 1;
-  worker_ = std::jthread([this](std::stop_token stop) { worker_loop(stop); });
 }
 
 AnalysisEngine::~AnalysisEngine() {
@@ -70,18 +74,15 @@ AnalysisEngine::~AnalysisEngine() {
     LockGuard lock(mutex_);
     if (state_ == EngineState::kRunning) state_ = EngineState::kStopped;
   }
-  worker_.request_stop();
-  cv_.notify_all();
+  LockGuard run(anchor_->run_mutex);  // waits for an executing slice, not a queued one
+  close_out_run();
+  anchor_->engine = nullptr;
 }
 
 Status AnalysisEngine::stage_dataset(const std::string& path) {
-  UniqueLock lock(mutex_);
-  if (state_ == EngineState::kRunning) {
-    return failed_precondition("engine: cannot stage a dataset while running");
-  }
-  // The worker may still be finishing its current record after a pause or
-  // stop; the reader must not be replaced under it.
-  cv_.wait(lock, [&]() IPA_REQUIRES(mutex_) { return !worker_in_loop_ || state_ == EngineState::kRunning; });
+  LockGuard run(anchor_->run_mutex);
+  close_out_run();
+  LockGuard lock(mutex_);
   if (state_ == EngineState::kRunning) {
     return failed_precondition("engine: cannot stage a dataset while running");
   }
@@ -89,30 +90,27 @@ Status AnalysisEngine::stage_dataset(const std::string& path) {
   IPA_RETURN_IF_ERROR(reader.status());
   reader_ = std::make_unique<data::DatasetReader>(std::move(*reader));
   batch_ = std::make_unique<data::RecordBatch>(reader_->make_batch());
+  has_dataset_ = true;
   processed_.store(0);
   total_.store(reader_->size());
   begin_pending_ = true;
   state_ = EngineState::kIdle;
   error_.clear();
-  {
-    LockGuard tree_lock(tree_mutex_);
-    tree_.clear();
-  }
+  tree_.clear();
   return Status::ok();
 }
 
 Status AnalysisEngine::stage_code(const CodeBundle& bundle) {
-  UniqueLock lock(mutex_);
-  if (state_ == EngineState::kRunning) {
-    return failed_precondition("engine: cannot reload code while running (pause first)");
-  }
-  cv_.wait(lock, [&]() IPA_REQUIRES(mutex_) { return !worker_in_loop_ || state_ == EngineState::kRunning; });
+  LockGuard run(anchor_->run_mutex);
+  close_out_run();
+  LockGuard lock(mutex_);
   if (state_ == EngineState::kRunning) {
     return failed_precondition("engine: cannot reload code while running (pause first)");
   }
   auto analyzer = make_analyzer(bundle, config_.interp);
   IPA_RETURN_IF_ERROR(analyzer.status());
   analyzer_ = std::move(*analyzer);
+  has_code_ = true;
   // New code means new booking on the next (re)start from the beginning;
   // when resuming mid-dataset the existing tree keeps accumulating.
   if (state_ == EngineState::kIdle) begin_pending_ = true;
@@ -128,40 +126,40 @@ void AnalysisEngine::set_snapshot_handler(SnapshotFn handler) {
   snapshot_handler_ = std::move(handler);
 }
 
-Status AnalysisEngine::run() {
-  UniqueLock lock(mutex_);
-  if (state_ == EngineState::kRunning) return Status::ok();
-  if (state_ == EngineState::kFinished) {
-    return failed_precondition("engine: dataset finished; rewind to re-run");
-  }
-  if (state_ == EngineState::kFailed) {
-    return failed_precondition("engine: failed (" + error_ + "); reload code or rewind");
-  }
-  if (!reader_) return failed_precondition("engine: no dataset staged");
-  if (!analyzer_) return failed_precondition("engine: no analysis code staged");
-  run_budget_ = 0;
-  state_ = EngineState::kRunning;
-  note_state(state_);
-  lock.unlock();
-  cv_.notify_all();
-  return Status::ok();
-}
+Status AnalysisEngine::run() { return start(0); }
 
 Status AnalysisEngine::run_records(std::uint64_t n) {
   if (n == 0) return invalid_argument("engine: run_records needs n > 0");
-  UniqueLock lock(mutex_);
-  if (state_ == EngineState::kRunning) return failed_precondition("engine: already running");
-  if (state_ == EngineState::kFinished || state_ == EngineState::kFailed) {
-    return failed_precondition("engine: not runnable in state " +
-                               std::string(to_string(state_)));
+  return start(n);
+}
+
+Status AnalysisEngine::start(std::uint64_t budget) {
+  {
+    LockGuard lock(mutex_);
+    if (state_ == EngineState::kRunning) {
+      return budget == 0 ? Status::ok() : failed_precondition("engine: already running");
+    }
+    if (budget > 0 && (state_ == EngineState::kFinished || state_ == EngineState::kFailed)) {
+      return failed_precondition("engine: not runnable in state " +
+                                 std::string(to_string(state_)));
+    }
+    if (state_ == EngineState::kFinished) {
+      return failed_precondition("engine: dataset finished; rewind to re-run");
+    }
+    if (state_ == EngineState::kFailed) {
+      return failed_precondition("engine: failed (" + error_ + "); reload code or rewind");
+    }
+    if (!has_dataset_) return failed_precondition("engine: no dataset staged");
+    if (!has_code_) return failed_precondition("engine: no analysis code staged");
+    run_budget_ = budget;
+    state_ = EngineState::kRunning;
+    ++runs_;
+    note_state(state_);
+    // A live chain, even one queued since before a pause, picks the new run up.
+    if (chain_live_) return Status::ok();
+    chain_live_ = true;
   }
-  if (!reader_) return failed_precondition("engine: no dataset staged");
-  if (!analyzer_) return failed_precondition("engine: no analysis code staged");
-  run_budget_ = n;
-  state_ = EngineState::kRunning;
-  note_state(state_);
-  lock.unlock();
-  cv_.notify_all();
+  post_slice(anchor_);
   return Status::ok();
 }
 
@@ -189,23 +187,16 @@ Status AnalysisEngine::stop() {
 }
 
 Status AnalysisEngine::rewind() {
-  UniqueLock lock(mutex_);
-  if (state_ == EngineState::kRunning) {
-    return failed_precondition("engine: pause or stop before rewinding");
-  }
-  // Wait for the worker to park: it may still be completing the record it
-  // was on when the pause/stop landed, and seek() must not race next().
-  cv_.wait(lock, [&]() IPA_REQUIRES(mutex_) { return !worker_in_loop_ || state_ == EngineState::kRunning; });
+  LockGuard run(anchor_->run_mutex);
+  close_out_run();
+  LockGuard lock(mutex_);
   if (state_ == EngineState::kRunning) {
     return failed_precondition("engine: pause or stop before rewinding");
   }
   if (!reader_) return failed_precondition("engine: no dataset staged");
   IPA_RETURN_IF_ERROR(reader_->seek(0));
   processed_.store(0);
-  {
-    LockGuard tree_lock(tree_mutex_);
-    tree_.clear();
-  }
+  tree_.clear();
   begin_pending_ = true;
   error_.clear();
   state_ = EngineState::kIdle;
@@ -216,13 +207,7 @@ Status AnalysisEngine::rewind() {
 Progress AnalysisEngine::wait() {
   UniqueLock lock(mutex_);
   cv_.wait(lock, [&]() IPA_REQUIRES(mutex_) { return state_ != EngineState::kRunning; });
-  Progress progress;
-  progress.state = state_;
-  progress.processed = processed_.load();
-  progress.total = total_.load();
-  progress.snapshots = snapshots_.load();
-  progress.error = error_;
-  return progress;
+  return progress_locked();
 }
 
 EngineState AnalysisEngine::state() const {
@@ -232,67 +217,43 @@ EngineState AnalysisEngine::state() const {
 
 Progress AnalysisEngine::progress() const {
   LockGuard lock(mutex_);
-  Progress progress;
-  progress.state = state_;
-  progress.processed = processed_.load();
-  progress.total = total_.load();
-  progress.snapshots = snapshots_.load();
-  progress.error = error_;
-  return progress;
+  return progress_locked();
+}
+
+Progress AnalysisEngine::progress_locked() const {
+  return Progress{state_, processed_.load(), total_.load(), snapshots_.load(), error_};
 }
 
 aida::Tree AnalysisEngine::tree_copy() const {
-  LockGuard lock(tree_mutex_);
+  LockGuard run(anchor_->run_mutex);
   auto bytes = tree_.serialize();
   auto copy = aida::Tree::deserialize(bytes);
   return copy.is_ok() ? std::move(*copy) : aida::Tree();
 }
 
 ser::Bytes AnalysisEngine::snapshot() const {
-  LockGuard lock(tree_mutex_);
+  LockGuard run(anchor_->run_mutex);
   return tree_.serialize();
 }
 
-void AnalysisEngine::worker_loop(const std::stop_token& stop) {
-  while (true) {
+void AnalysisEngine::post_slice(const std::shared_ptr<Anchor>& anchor) {
+  const bool posted = site_pool().post([anchor] {
+    bool more = false;
     {
-      UniqueLock lock(mutex_);
-      cv_.wait(lock, [&]() IPA_REQUIRES(mutex_) { return stop.stop_requested() || state_ == EngineState::kRunning; });
-      if (stop.stop_requested()) return;
-      worker_in_loop_ = true;
+      LockGuard run(anchor->run_mutex);
+      if (anchor->engine != nullptr) more = anchor->engine->run_slice();
     }
-    process_loop();
-    {
-      LockGuard lock(mutex_);
-      worker_in_loop_ = false;
-    }
-    cv_.notify_all();
-  }
+    if (more) post_slice(anchor);
+  });
+  if (posted) return;
+  LockGuard run(anchor->run_mutex);
+  if (anchor->engine == nullptr) return;
+  anchor->engine->fail("engine: site pool is shut down");
+  (void)anchor->engine->run_slice();  // closes the run out and retires the chain
 }
 
-void AnalysisEngine::process_loop() {
-  // begin() on a fresh run.
-  {
-    UniqueLock lock(mutex_);
-    if (state_ != EngineState::kRunning) return;
-    if (begin_pending_) {
-      Status status;
-      {
-        LockGuard tree_lock(tree_mutex_);
-        status = analyzer_->begin(tree_);
-      }
-      if (!status.is_ok()) {
-        state_ = EngineState::kFailed;
-        error_ = status.to_string();
-        lock.unlock();
-        cv_.notify_all();
-        return;
-      }
-      begin_pending_ = false;
-    }
-  }
-
-  std::uint64_t since_snapshot = 0;
+bool AnalysisEngine::run_slice() {
+  const double deadline = WallClock::instance().now() + kSliceQuantumS;
   while (true) {
     // Check controls and size the next batch. Capping at the remaining
     // run budget and the distance to the next snapshot makes the batched
@@ -301,17 +262,40 @@ void AnalysisEngine::process_loop() {
     std::uint64_t cap;
     {
       UniqueLock lock(mutex_);
-      if (state_ != EngineState::kRunning) {
+      if (serving_ != 0 && (state_ != EngineState::kRunning || serving_ != runs_)) {
+        // The run this chain served has ended: publish where it stopped.
+        serving_ = 0;
         lock.unlock();
-        emit_snapshot_locked();  // results as of the pause/stop point
+        emit_snapshot();
+        continue;
+      }
+      if (state_ != EngineState::kRunning) {
+        chain_live_ = false;
         cv_.notify_all();
-        return;
+        return false;
+      }
+      if (serving_ == 0) {
+        // A run starts: begin() on a fresh one, snapshot cadence from zero.
+        serving_ = runs_;
+        since_snapshot_ = 0;
+        if (begin_pending_) {
+          const Status status = analyzer_->begin(tree_);
+          if (!status.is_ok()) {
+            state_ = EngineState::kFailed;
+            error_ = status.to_string();
+            serving_ = 0;  // nothing to publish
+            continue;
+          }
+          begin_pending_ = false;
+        }
+      } else if (WallClock::instance().now() >= deadline) {
+        return true;  // yield the pool thread; the chain goes on
       }
       cap = config_.batch_size;
       if (run_budget_ > 0 && run_budget_ < cap) cap = run_budget_;
     }
-    if (config_.snapshot_every - since_snapshot < cap) {
-      cap = config_.snapshot_every - since_snapshot;
+    if (config_.snapshot_every - since_snapshot_ < cap) {
+      cap = config_.snapshot_every - since_snapshot_;
     }
 
     batch_->clear();
@@ -320,16 +304,12 @@ void AnalysisEngine::process_loop() {
     EngineMetrics::instance().batch_pull.observe(WallClock::instance().now() - pull_t0);
     if (!appended.is_ok()) {
       fail("dataset read: " + appended.status().to_string());
-      return;
+      continue;
     }
     if (*appended == 0) {
       // Dataset exhausted: run end() and finish.
-      Status status;
-      {
-        LockGuard tree_lock(tree_mutex_);
-        status = analyzer_->end(tree_);
-      }
-      UniqueLock lock(mutex_);
+      const Status status = analyzer_->end(tree_);
+      LockGuard lock(mutex_);
       if (!status.is_ok()) {
         state_ = EngineState::kFailed;
         error_ = status.to_string();
@@ -338,20 +318,13 @@ void AnalysisEngine::process_loop() {
         state_ = EngineState::kFinished;
       }
       note_state(state_);
-      lock.unlock();
-      emit_snapshot_locked();
-      cv_.notify_all();
-      return;
+      continue;
     }
 
-    Status status;
-    {
-      LockGuard tree_lock(tree_mutex_);
-      status = analyzer_->process_batch(*batch_, tree_);
-    }
+    const Status status = analyzer_->process_batch(*batch_, tree_);
     if (!status.is_ok()) {
       fail(status.to_string());
-      return;
+      continue;
     }
     processed_.fetch_add(*appended, std::memory_order_relaxed);
     EngineMetrics& metrics = EngineMetrics::instance();
@@ -359,30 +332,33 @@ void AnalysisEngine::process_loop() {
     metrics.batches.inc();
     metrics.batch_records.observe(static_cast<double>(*appended));
 
-    since_snapshot += *appended;
-    if (since_snapshot >= config_.snapshot_every) {
-      since_snapshot = 0;
-      emit_snapshot_locked();
+    since_snapshot_ += *appended;
+    if (since_snapshot_ >= config_.snapshot_every) {
+      since_snapshot_ = 0;
+      emit_snapshot();
     }
 
     // Bounded runs ("run N events"); the cap above never lets a batch
     // overshoot the budget.
-    {
-      UniqueLock lock(mutex_);
-      if (run_budget_ > 0) {
-        run_budget_ -= *appended;
-        if (run_budget_ == 0) {
-          state_ = EngineState::kPaused;
-          note_state(state_);
-          EngineMetrics::instance().pauses.inc();
-          lock.unlock();
-          emit_snapshot_locked();
-          cv_.notify_all();
-          return;
-        }
+    LockGuard lock(mutex_);
+    if (run_budget_ > 0) {
+      run_budget_ -= *appended;
+      if (run_budget_ == 0) {
+        state_ = EngineState::kPaused;
+        note_state(state_);
+        EngineMetrics::instance().pauses.inc();
       }
     }
   }
+}
+
+void AnalysisEngine::close_out_run() {
+  {
+    LockGuard lock(mutex_);
+    if (serving_ == 0 || state_ == EngineState::kRunning) return;
+    serving_ = 0;
+  }
+  emit_snapshot();
 }
 
 void AnalysisEngine::fail(std::string message) {
@@ -396,25 +372,18 @@ void AnalysisEngine::fail(std::string message) {
     error_ = std::move(message);
   }
   note_state(EngineState::kFailed);
-  emit_snapshot_locked();
-  cv_.notify_all();
 }
 
-void AnalysisEngine::emit_snapshot_locked() {
+void AnalysisEngine::emit_snapshot() {
   SnapshotFn handler;
   {
     LockGuard lock(mutex_);
     handler = snapshot_handler_;
   }
   if (!handler) return;
-  ser::Bytes bytes;
-  {
-    LockGuard tree_lock(tree_mutex_);
-    bytes = tree_.serialize();
-  }
   ++snapshots_;
   EngineMetrics::instance().snapshots.inc();
-  handler(bytes, progress());
+  handler(tree_.serialize(), progress());
 }
 
 }  // namespace ipa::engine

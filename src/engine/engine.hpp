@@ -6,17 +6,19 @@
 // intermediate result snapshots to the AIDA manager. Code can be replaced
 // between runs without re-staging the data.
 //
-// Threading: one worker thread per engine owns the dataset reader, the
-// analyzer and the AIDA tree; control verbs and snapshot reads synchronize
-// through a small command mailbox, so no analysis state is ever touched by
-// two threads at once.
+// Threading: an engine owns no thread. A run is a chain of slices on
+// site_pool(): each slice processes batches until a 5 ms quantum has passed
+// (at least one batch), then reposts itself while the engine is running, so
+// heartbeats queued on the same pool wait about one quantum. At most one slice per engine is
+// queued or executing. The dataset reader, the analyzer and the AIDA tree
+// belong to whoever holds the run lock: the executing slice, or a staging
+// verb, which therefore never swaps them under a batch.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "aida/tree.hpp"
 #include "common/status.hpp"
@@ -61,7 +63,8 @@ class AnalysisEngine {
  public:
   using Config = EngineConfig;
 
-  /// Called from the worker thread with a serialized Tree and progress.
+  /// Called with a serialized Tree and progress by the slice, verb or
+  /// destructor that publishes a snapshot.
   using SnapshotFn = std::function<void(const ser::Bytes& snapshot, const Progress& progress)>;
 
   explicit AnalysisEngine(Config config = {});
@@ -98,43 +101,68 @@ class AnalysisEngine {
   EngineState state() const;
   Progress progress() const;
 
-  /// Copy of the current results (thread-safe; engine may keep running).
+  /// Copy of the current results (thread-safe; while running, it waits for
+  /// the executing slice).
   aida::Tree tree_copy() const;
   /// Serialized form of tree_copy().
   ser::Bytes snapshot() const;
 
  private:
-  void worker_loop(const std::stop_token& stop);
-  void process_loop();  // runs records while state stays kRunning
+  /// What a queued slice holds: the engine, cleared by its destructor. An
+  /// executing slice holds `run_mutex` throughout, so the destructor waits for
+  /// it, while a queued one finds no engine and retires.
+  struct Anchor {
+    explicit Anchor(AnalysisEngine* owner) : engine(owner) {}
+    Mutex run_mutex{LockRank::kEngineRun, "engine-run"};
+    AnalysisEngine* engine IPA_GUARDED_BY(run_mutex);
+  };
+
+  /// Queue the next slice; if the pool refuses it (shut down), the engine
+  /// fails. Unchecked: the analysis cannot see that anchor->run_mutex is the
+  /// engine's anchor_->run_mutex.
+  static void post_slice(const std::shared_ptr<Anchor>& anchor)
+      IPA_NO_THREAD_SAFETY_ANALYSIS;
+  /// Process batches until the engine leaves kRunning or the quantum ends;
+  /// true while the chain must go on.
+  bool run_slice() IPA_REQUIRES(anchor_->run_mutex);
+  /// Publish a run that ended while its chain was queued, as the chain
+  /// would at its next batch boundary.
+  void close_out_run() IPA_REQUIRES(anchor_->run_mutex);
+  Status start(std::uint64_t budget);  // run() (budget 0) and run_records()
+  Progress progress_locked() const IPA_REQUIRES(mutex_);
   void fail(std::string message);
-  void emit_snapshot_locked();  // requires tree_mutex_ NOT held by caller
+  void emit_snapshot() IPA_REQUIRES(anchor_->run_mutex);
 
   Config config_;
+  const std::shared_ptr<Anchor> anchor_ = std::make_shared<Anchor>(this);
 
   mutable Mutex mutex_{LockRank::kEngine, "engine-control"};
-  CondVar cv_;
+  CondVar cv_;  // wait()
   EngineState state_ IPA_GUARDED_BY(mutex_) = EngineState::kIdle;
-  bool worker_in_loop_ IPA_GUARDED_BY(mutex_) = false;  // inside process_loop()
   std::uint64_t run_budget_ IPA_GUARDED_BY(mutex_) = 0;  // 0 = unlimited
   std::string error_ IPA_GUARDED_BY(mutex_);
-  bool begin_pending_ IPA_GUARDED_BY(mutex_) = true;
+  std::uint64_t runs_ IPA_GUARDED_BY(mutex_) = 0;   // runs started by run()/run_records()
+  bool chain_live_ IPA_GUARDED_BY(mutex_) = false;  // a slice is queued or executing
+  bool has_dataset_ IPA_GUARDED_BY(mutex_) = false;  // reader_ set, for run() to see
+  bool has_code_ IPA_GUARDED_BY(mutex_) = false;     // analyzer_ set, likewise
+  SnapshotFn snapshot_handler_ IPA_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> processed_{0};  // records since last rewind
   std::atomic<std::uint64_t> total_{0};      // records in the staged part
   std::atomic<std::uint64_t> snapshots_{0};  // snapshots emitted
 
-  std::unique_ptr<data::DatasetReader> reader_;
-  // One batch reused for the whole dataset (worker-thread only): columns
-  // keep their capacity across clear(), and analyzers' per-batch slot
-  // resolutions stay valid because the schema is shared with the reader.
-  std::unique_ptr<data::RecordBatch> batch_;
-  std::unique_ptr<Analyzer> analyzer_;
-  SnapshotFn snapshot_handler_ IPA_GUARDED_BY(mutex_);
-
-  mutable Mutex tree_mutex_{LockRank::kEngineTree, "engine-tree"};
-  aida::Tree tree_ IPA_GUARDED_BY(tree_mutex_);
-
-  std::jthread worker_;
+  // The run the chain serves (0 = none; it ends on leaving kRunning or when
+  // a newer run starts) and its records since the last snapshot.
+  std::uint64_t serving_ IPA_GUARDED_BY(anchor_->run_mutex) = 0;
+  std::uint64_t since_snapshot_ IPA_GUARDED_BY(anchor_->run_mutex) = 0;
+  bool begin_pending_ IPA_GUARDED_BY(anchor_->run_mutex) = true;
+  std::unique_ptr<data::DatasetReader> reader_ IPA_GUARDED_BY(anchor_->run_mutex);
+  // One batch reused for the whole dataset: columns keep their capacity
+  // across clear(), and analyzers' per-batch slot resolutions stay valid
+  // because the schema is shared with the reader.
+  std::unique_ptr<data::RecordBatch> batch_ IPA_GUARDED_BY(anchor_->run_mutex);
+  std::unique_ptr<Analyzer> analyzer_ IPA_GUARDED_BY(anchor_->run_mutex);
+  aida::Tree tree_ IPA_GUARDED_BY(anchor_->run_mutex);
 };
 
 }  // namespace ipa::engine

@@ -28,7 +28,7 @@
 namespace ipa::services {
 
 /// How the manager starts analysis engines. The default implementation
-/// spawns in-process worker hosts (threads standing in for grid nodes);
+/// spawns in-process worker hosts (pool-run engines standing in for nodes);
 /// gridsim models the timing of the real GRAM path.
 class ComputeElement {
  public:

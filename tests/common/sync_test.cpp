@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -253,6 +254,29 @@ TEST(LockContention, ContendedAcquisitionsAreCountedPerRank) {
   EXPECT_GT(after.contended, before.contended)
       << "blocking behind a sleeping holder was never counted";
   EXPECT_GT(after.wait_s, before.wait_s);
+}
+
+// Ranks closer together than the old five-wide slots (reactor 72, reactor
+// stream 74, transport 70) must each be reported under their own name.
+TEST(LockContention, NeighbouringRanksAreReportedApart) {
+  const auto contended_for = [](LockRank rank) {
+    std::uint64_t out = 0;
+    for (const LockContention& entry : lock_contention_snapshot()) {
+      if (entry.rank == rank) out = entry.contended;
+    }
+    return out;
+  };
+  const std::uint64_t before = contended_for(LockRank::kReactor);
+
+  Mutex mutex(LockRank::kReactor, "reactor-contended");
+  force_contended_acquisition<LockGuard>(mutex, LockRank::kReactor, before);
+
+  bool named = false;
+  for (const LockContention& entry : lock_contention_snapshot()) {
+    named = named || (entry.contended > 0 && std::string(to_string(entry.rank)) == "reactor");
+  }
+  EXPECT_GT(contended_for(LockRank::kReactor), before);
+  EXPECT_TRUE(named) << "kReactor contention was reported under another rank";
 }
 
 // UniqueLock bypasses Mutex::lock (it drives the native handle for CondVar),

@@ -3,11 +3,14 @@
 // while running simultaneously.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <thread>
 
 #include "client/grid_client.hpp"
 #include "common/rng.hpp"
+#include "common/sync.hpp"
+#include "engine/analyzer.hpp"
 #include "services/manager.hpp"
 
 namespace ipa {
@@ -18,20 +21,88 @@ func begin(tree) { tree.book_h1("/n", 1, 0, 1); }
 func process(event, tree) { tree.fill("/n", 0.5); }
 )";
 
-// Slow enough that a 2-engine run over 1000 records is still in flight when
-// a test kills an engine or closes the session.
-const char* kSlowScript = R"(
-func begin(tree) { tree.book_h1("/n", 1, 0, 1); }
-func process(event, tree) {
-  let x = 0;
-  for (let i = 0; i < 3000; i += 1) { x += i; }
-  tree.fill("/n", 0.5);
+/// Holds runs open until a test opens it. While it is closed, every batch
+/// of the "gated-count" plugin waits for it, but never longer than
+/// kGateWait: killing or closing an engine waits for its executing batch.
+class RunGate {
+ public:
+  static constexpr std::chrono::milliseconds kGateWait{5};
+
+  void set_open(bool open) {
+    {
+      LockGuard lock(mutex_);
+      open_ = open;
+    }
+    cv_.notify_all();
+  }
+
+  void pass() {
+    UniqueLock lock(mutex_);
+    (void)cv_.wait_for(lock, kGateWait, [&]() IPA_REQUIRES(mutex_) { return open_; });
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar cv_;
+  bool open_ IPA_GUARDED_BY(mutex_) = true;
+};
+
+RunGate& run_gate() {
+  static RunGate gate;
+  return gate;
 }
-)";
+
+/// Counts records into "/n", like kCountScript, one gate pass per batch.
+class GatedCountAnalyzer final : public engine::Analyzer {
+ public:
+  Status begin(aida::Tree& tree) override {
+    auto hist = aida::Histogram1D::create("n", 1, 0, 1);
+    tree.put("/n", std::move(*hist));
+    return Status::ok();
+  }
+  Status process_batch(const data::RecordBatch& batch, aida::Tree& tree) override {
+    run_gate().pass();
+    auto hist = tree.histogram1d("/n");
+    for (std::size_t row = 0; row < batch.rows(); ++row) (*hist)->fill(0.5);
+    return Status::ok();
+  }
+};
+
+/// Starts engines like the default compute element and counts the single
+/// starts the dead-engine scan makes when it restarts one.
+class CountingComputeElement final : public services::ComputeElement {
+ public:
+  explicit CountingComputeElement(engine::EngineConfig config) : inner_(config) {}
+
+  Result<std::unique_ptr<services::EngineHandle>> start_engine(
+      const std::string& session_id, const std::string& engine_id,
+      const Uri& endpoint) override {
+    ++restarts_;
+    return inner_.start_engine(session_id, engine_id, endpoint);
+  }
+
+  Result<std::vector<std::unique_ptr<services::EngineHandle>>> start_engines(
+      const std::string& session_id, int count, const Uri& endpoint) override {
+    return inner_.start_engines(session_id, count, endpoint);
+  }
+
+  int restarts() const { return restarts_.load(); }
+
+ private:
+  services::LocalComputeElement inner_;
+  std::atomic<int> restarts_{0};
+};
 
 class FailureTest : public ::testing::Test {
  protected:
+  static void SetUpTestSuite() {
+    // Registration is idempotent per process.
+    (void)engine::AnalyzerRegistry::instance().register_factory(
+        "gated-count", [] { return std::make_unique<GatedCountAnalyzer>(); });
+  }
+
   void SetUp() override {
+    run_gate().set_open(false);
     dir_ = std::filesystem::temp_directory_path() /
            ("ipa-fail-" +
             std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
@@ -57,7 +128,7 @@ class FailureTest : public ::testing::Test {
     }
     services::ManagerConfig config;
     config.staging_dir = (dir_ / "staging").string();
-    config.engine_config.snapshot_every = 200;
+    config.engine_config = engine_config();
     config.heartbeat_timeout_s = 0.4;
     config.monitor_interval_s = 0.1;
     config.restart_lost_engines = restart_lost_engines;
@@ -68,7 +139,17 @@ class FailureTest : public ::testing::Test {
     token_ = manager_->authority().issue("cn=user", {"analysis"}, 3600);
   }
 
+  /// One record per batch, so a closed gate holds a run open for about
+  /// kGateWait per record.
+  static engine::EngineConfig engine_config() {
+    engine::EngineConfig config;
+    config.snapshot_every = 200;
+    config.batch_size = 1;
+    return config;
+  }
+
   void TearDown() override {
+    run_gate().set_open(true);
     manager_->stop();
     manager_.reset();
     std::error_code ec;
@@ -251,16 +332,8 @@ TEST_F(FailureTest, CloseWhileRunningShutsEnginesDown) {
   ASSERT_TRUE(session.is_ok());
   ASSERT_TRUE(session->activate().is_ok());
   ASSERT_TRUE(session->select_dataset("ds-1").is_ok());
-  // Slow script so the session is definitely still running at close.
-  const char* kSlow = R"(
-func begin(tree) { tree.book_h1("/n", 1, 0, 1); }
-func process(event, tree) {
-  let x = 0;
-  for (let i = 0; i < 3000; i += 1) { x += i; }
-  tree.fill("/n", 0.5);
-}
-)";
-  ASSERT_TRUE(session->stage_script("slow", kSlow).is_ok());
+  // The closed gate keeps the session running until close.
+  ASSERT_TRUE(session->stage_plugin("gated-count").is_ok());
   ASSERT_TRUE(session->run().is_ok());
   wait_until_running(*session, 2);
   EXPECT_TRUE(session->close().is_ok());
@@ -280,12 +353,13 @@ TEST_F(FailureTest, EngineKilledMidRunIsRestarted) {
   ASSERT_TRUE(session.is_ok());
   ASSERT_TRUE(session->activate().is_ok());
   ASSERT_TRUE(session->select_dataset("ds-1").is_ok());
-  ASSERT_TRUE(session->stage_script("slow", kSlowScript).is_ok());
+  ASSERT_TRUE(session->stage_plugin("gated-count").is_ok());
   ASSERT_TRUE(session->run().is_ok());
   wait_until_running(*session, 2);
 
   const std::string session_id = session->info().session_id;
   ASSERT_TRUE(manager_->kill_engine(session_id, session_id + "-eng0").is_ok());
+  run_gate().set_open(true);
 
   auto last = poll_until_done(*session, 2, 30.0);
   EXPECT_FALSE(last.any_engine_failed());
@@ -306,12 +380,13 @@ TEST_F(FailureTest, EngineKilledWithRestartDisabledDegrades) {
   ASSERT_TRUE(session.is_ok());
   ASSERT_TRUE(session->activate().is_ok());
   ASSERT_TRUE(session->select_dataset("ds-1").is_ok());
-  ASSERT_TRUE(session->stage_script("slow", kSlowScript).is_ok());
+  ASSERT_TRUE(session->stage_plugin("gated-count").is_ok());
   ASSERT_TRUE(session->run().is_ok());
   wait_until_running(*session, 2);
 
   const std::string session_id = session->info().session_id;
   ASSERT_TRUE(manager_->kill_engine(session_id, session_id + "-eng0").is_ok());
+  run_gate().set_open(true);
 
   auto last = poll_until_done(*session, 2, 30.0);
   EXPECT_TRUE(last.degraded());
@@ -325,6 +400,44 @@ TEST_F(FailureTest, EngineKilledWithRestartDisabledDegrades) {
   ASSERT_TRUE(hist.is_ok());
   EXPECT_GE((*hist)->entries(), 450u);
   EXPECT_LT((*hist)->entries(), 1000u);
+  EXPECT_TRUE(session->close().is_ok());
+}
+
+TEST_F(FailureTest, SixteenSlowEnginesKeepTheirHeartbeats) {
+  // Sixteen engines run as slices on the site pool that also carries their
+  // heartbeats and the dead-engine scan. With every batch held by the
+  // closed gate for ~5 ms, the run spans several 0.4 s heartbeat timeouts;
+  // no engine may be taken for dead, lost or restarted meanwhile.
+  Rng rng(2);
+  std::vector<data::Record> records;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    data::Record record(i);
+    record.set("x", rng.uniform());
+    records.push_back(std::move(record));
+  }
+  const std::string dataset = (dir_ / "d16.ipd").string();
+  ASSERT_TRUE(data::write_dataset(dataset, "d16", records).is_ok());
+  ASSERT_TRUE(manager_->publish_dataset("d/d16", "ds-16", {}, dataset).is_ok());
+  auto compute = std::make_unique<CountingComputeElement>(engine_config());
+  const CountingComputeElement& counting = *compute;
+  manager_->set_compute_element(std::move(compute));
+
+  auto client = client::GridClient::connect(manager_->soap_endpoint(), token_);
+  auto session = client->create_session(16);
+  ASSERT_TRUE(session.is_ok());
+  ASSERT_EQ(session->info().granted_nodes, 16);
+  ASSERT_TRUE(session->activate().is_ok());
+  ASSERT_TRUE(session->select_dataset("ds-16").is_ok());
+  ASSERT_TRUE(session->stage_plugin("gated-count").is_ok());
+  ASSERT_TRUE(session->run().is_ok());
+
+  auto last = poll_until_done(*session, 16, 60.0);
+  EXPECT_FALSE(last.degraded());
+  EXPECT_FALSE(last.any_engine_failed());
+  EXPECT_EQ(counting.restarts(), 0);
+  auto hist = last.merged.histogram1d("/n");
+  ASSERT_TRUE(hist.is_ok());
+  EXPECT_EQ((*hist)->entries(), 4000u);
   EXPECT_TRUE(session->close().is_ok());
 }
 

@@ -1,5 +1,5 @@
 // Flight journals retire with their thread: a process that starts and joins
-// many recording threads (engine threads of closed sessions) keeps a bounded
+// many recording threads (pool workers that retire when idle) keeps a bounded
 // journal table, and the newest retired journals stay readable.
 #include <gtest/gtest.h>
 

@@ -115,7 +115,9 @@ TEST(EventGen, BackgroundHasNoPeak) {
 class PhysicsDatasetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-phys-test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-phys-" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -89,7 +89,9 @@ TEST(Stocks, PricesStayPerSymbolContinuous) {
 class WorkloadDatasetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ipa-wl-test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ipa-wl-" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

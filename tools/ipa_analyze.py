@@ -77,8 +77,8 @@ LOCK_RANKS = {
     "kWorkerPool": 90,  # ipa::ThreadPool queue and workers (site and server pools)
     "kServer": 100,
     "kChannel": 110,
-    "kEngineTree": 120,
     "kEngine": 130,
+    "kEngineRun": 135,
     "kAida": 140,
     "kSession": 150,
     "kResourceSet": 160,

@@ -37,8 +37,8 @@ Rules (each suppressible, see below):
   raw-thread          constructing a std::thread / std::jthread (a temporary,
                       a named variable, or a container of them) in src/
                       outside the blessed owners: the pool
-                      (common/thread_pool.*), the reactor loop, the engine
-                      worker, the model checker and the load generator.
+                      (common/thread_pool.*), the reactor loop, the model
+                      checker and the load generator.
                       Everything else posts to a ThreadPool or a reactor, so
                       the site keeps one executor.
   metric-name         a Registry counter()/gauge()/histogram() registration
@@ -84,7 +84,6 @@ RAW_THREAD_ALLOWED = {
     os.path.join("src", "common", "thread_pool.hpp"),
     os.path.join("src", "common", "thread_pool.cpp"),
     os.path.join("src", "net", "reactor.cpp"),
-    os.path.join("src", "engine", "engine.cpp"),
     os.path.join("src", "common", "sched_test.cpp"),
     os.path.join("src", "loadgen", "loadgen.cpp"),
 }
