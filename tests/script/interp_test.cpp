@@ -513,3 +513,102 @@ TEST(Interp, ResolvedFunctionIsReusable) {
 
 }  // namespace
 }  // namespace ipa::script
+// Every runtime error the interpreter raises, with its status code, text
+// and line. Each main() fails on line 3, unless the error is in a helper.
+namespace ipa::script {
+namespace {
+
+struct RuntimeErrorCase {
+  const char* name;
+  const char* body;  // lines 2.. of `func main() {`
+  StatusCode code;
+  const char* message;
+  std::uint64_t max_steps = 100'000'000;
+};
+
+TEST(Interp, RuntimeErrorsKeepTheirMessagesAndLines) {
+  const RuntimeErrorCase cases[] = {
+      {"division", "  let x = 1;\n  return x / 0;\n}", StatusCode::kInvalidArgument,
+       "division by zero (line 3)"},
+      {"modulo", "  let x = 1;\n  return x % 0;\n}", StatusCode::kInvalidArgument,
+       "modulo by zero (line 3)"},
+      {"unary_minus", "  let s = \"a\";\n  return -s;\n}", StatusCode::kInvalidArgument,
+       "unary '-' needs a number, got string (line 3)"},
+      {"not_callable", "  let x = 1;\n  return x(1);\n}", StatusCode::kInvalidArgument,
+       "value of type number is not callable (line 3)"},
+      {"method_on_number", "  let x = 1;\n  return x.size();\n}",
+       StatusCode::kInvalidArgument, "cannot call method 'size' on number (line 3)"},
+      {"native_error", "  let s = \"a\";\n  return sqrt(s);\n}", StatusCode::kInvalidArgument,
+       "sqrt: argument 1 must be a number (line 3)"},
+      {"index_type", "  let xs = [1];\n  return xs[\"a\"];\n}", StatusCode::kInvalidArgument,
+       "index must be a number (line 3)"},
+      {"list_index_high", "  let xs = [1];\n  return xs[5];\n}", StatusCode::kOutOfRange,
+       "list index 5 out of range (size 1) (line 3)"},
+      {"list_index_negative", "  let xs = [1];\n  return xs[-1];\n}", StatusCode::kOutOfRange,
+       "list index -1 out of range (size 1) (line 3)"},
+      {"string_index", "  let s = \"ab\";\n  return s[2];\n}", StatusCode::kOutOfRange,
+       "string index out of range (line 3)"},
+      {"index_number", "  let x = 1;\n  return x[0];\n}", StatusCode::kInvalidArgument,
+       "cannot index number (line 3)"},
+      {"add_nil", "  let x = 1;\n  return x + nil;\n}", StatusCode::kInvalidArgument,
+       "cannot add number and nil (line 3)"},
+      {"add_list_number", "  let xs = [1];\n  return xs + 1;\n}", StatusCode::kInvalidArgument,
+       "cannot add list and number (line 3)"},
+      {"compare", "  let x = 1;\n  return x < \"a\";\n}", StatusCode::kInvalidArgument,
+       "cannot compare number with string (line 3)"},
+      {"compare_ge", "  let xs = [];\n  return xs >= xs;\n}", StatusCode::kInvalidArgument,
+       "cannot compare list with list (line 3)"},
+      {"sub_string", "  let s = \"a\";\n  return s - 1;\n}", StatusCode::kInvalidArgument,
+       "operator '-' needs numbers, got string and number (line 3)"},
+      {"mul_bool", "  let b = true;\n  return b * 2;\n}", StatusCode::kInvalidArgument,
+       "operator '*' needs numbers, got bool and number (line 3)"},
+      {"div_string", "  let s = \"a\";\n  return 1 / s;\n}", StatusCode::kInvalidArgument,
+       "operator '/' needs numbers, got number and string (line 3)"},
+      {"mod_nil", "  let x = nil;\n  return x % 2;\n}", StatusCode::kInvalidArgument,
+       "operator '%' needs numbers, got nil and number (line 3)"},
+      {"undeclared", "  let x = 1;\n  y = x;\n}", StatusCode::kNotFound,
+       "assignment to undeclared variable 'y' (use 'let') (line 3)"},
+      {"indexed_not_list", "  let x = 1;\n  x[0] = 2;\n}", StatusCode::kInvalidArgument,
+       "indexed assignment needs list[number] (line 3)"},
+      {"indexed_bad_index", "  let xs = [1];\n  xs[\"a\"] = 2;\n}",
+       StatusCode::kInvalidArgument, "indexed assignment needs list[number] (line 3)"},
+      {"indexed_out_of_range", "  let xs = [1];\n  xs[1] = 2;\n}", StatusCode::kOutOfRange,
+       "list index out of range in assignment (line 3)"},
+      {"add_set_string", "  let s = \"a\";\n  s += 1;\n}", StatusCode::kInvalidArgument,
+       "'+=' needs numbers (line 3)"},
+      {"sub_set_element", "  let xs = [\"a\"];\n  xs[0] -= 1;\n}",
+       StatusCode::kInvalidArgument, "'-=' needs numbers (line 3)"},
+      {"arity", "  let x = 1;\n  return two(x);\n}", StatusCode::kInvalidArgument,
+       "function 'two' expects 2 argument(s), got 1 (line 3)"},
+      {"recursion", "  let x = 1;\n  return deep(x);\n}", StatusCode::kResourceExhausted,
+       "recursion too deep (limit 256) (line 7)"},
+      {"undefined", "  let x = 1;\n  return x + missing;\n}", StatusCode::kNotFound,
+       "undefined variable 'missing' (line 3)"},
+      {"undefined_callee", "  let x = 1;\n  return nope(x);\n}", StatusCode::kNotFound,
+       "undefined variable 'nope' (line 3)"},
+      {"callee_line", "  let x = 1;\n  return inner(x);\n}", StatusCode::kInvalidArgument,
+       "division by zero (line 9)"},
+      {"step_budget", "  let x = 1;\n  while (true) { x += 1; }\n}",
+       StatusCode::kResourceExhausted, "script exceeded its step budget (line 3)", 200},
+  };
+  // main() is lines 1-4; the helpers it calls follow on fixed lines.
+  const char* helpers =
+      "\nfunc two(a, b) { return a; }\n"     // line 5
+      "func deep(n) {\n"                      // line 6
+      "  return deep(n + 1);\n"               // line 7
+      "}\n"                                   // line 8
+      "func inner(n) { return n / 0; }\n";    // line 9
+  for (const RuntimeErrorCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Interp interp(InterpOptions{.max_steps_per_call = c.max_steps});
+    const std::string source = std::string("func main() {\n") + c.body + helpers;
+    ASSERT_TRUE(interp.load(source).is_ok()) << source;
+    const auto result = interp.call("main", {});
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), c.code);
+    EXPECT_EQ(result.status().message(), c.message);
+  }
+}
+
+}  // namespace
+}  // namespace ipa::script
