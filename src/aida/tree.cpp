@@ -1,5 +1,7 @@
 #include "aida/tree.hpp"
 
+#include <atomic>
+
 #include "common/strings.hpp"
 
 namespace ipa::aida {
@@ -90,8 +92,27 @@ std::string Tree::normalize(const std::string& path) {
   return out;
 }
 
+std::uint64_t Tree::next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+Tree& Tree::operator=(const Tree& other) {
+  objects_ = other.objects_;
+  bump();
+  return *this;
+}
+
+Tree& Tree::operator=(Tree&& other) noexcept {
+  objects_ = std::move(other.objects_);
+  bump();
+  other.bump();
+  return *this;
+}
+
 void Tree::put(const std::string& path, Object object) {
   objects_[normalize(path)] = std::move(object);
+  bump();
 }
 
 Result<Object*> Tree::find(const std::string& path) {
@@ -138,7 +159,10 @@ Result<Tuple*> Tree::tuple(const std::string& path) {
   return typed_find<Tuple>(*this, path);
 }
 
-bool Tree::remove(const std::string& path) { return objects_.erase(normalize(path)) > 0; }
+bool Tree::remove(const std::string& path) {
+  bump();
+  return objects_.erase(normalize(path)) > 0;
+}
 
 std::vector<std::string> Tree::paths() const {
   std::vector<std::string> out;
@@ -158,6 +182,8 @@ std::vector<std::string> Tree::list(const std::string& dir) const {
 }
 
 Status Tree::merge(Tree& other) {
+  bump();
+  other.bump();  // its objects are moved out below, even when a merge fails
   for (auto& [path, object] : other.objects_) {
     const auto it = objects_.find(path);
     if (it == objects_.end()) {
@@ -166,7 +192,7 @@ Status Tree::merge(Tree& other) {
       IPA_RETURN_IF_ERROR(merge_objects(it->second, object).with_prefix(path));
     }
   }
-  other.objects_.clear();
+  other.clear();
   return Status::ok();
 }
 

@@ -6,6 +6,7 @@
 // transfer between engine → manager → client.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +33,10 @@ Status merge_objects(Object& into, Object& from);
 class Tree {
  public:
   Tree() = default;
+  Tree(const Tree& other) : objects_(other.objects_) {}
+  Tree(Tree&& other) noexcept : objects_(std::move(other.objects_)) { other.bump(); }
+  Tree& operator=(const Tree& other);
+  Tree& operator=(Tree&& other) noexcept;
 
   /// Store an object at `path` ("/dir/name"; leading '/' optional).
   /// Overwrites an existing object at the same path.
@@ -49,7 +54,16 @@ class Tree {
   Result<Tuple*> tuple(const std::string& path);
 
   bool remove(const std::string& path);
-  void clear() { objects_.clear(); }
+  void clear() {
+    objects_.clear();
+    bump();
+  }
+
+  /// Changes whenever an object may have been added, replaced or removed
+  /// (put, remove, clear, merge, assignment), so a cached Object* is valid
+  /// while the generation it was found in holds. Every tree draws its
+  /// generations from one process-wide counter: two trees never share one.
+  std::uint64_t generation() const { return generation_; }
 
   /// All object paths, sorted.
   std::vector<std::string> paths() const;
@@ -70,8 +84,11 @@ class Tree {
 
  private:
   static std::string normalize(const std::string& path);
+  static std::uint64_t next_generation();
+  void bump() { generation_ = next_generation(); }
 
   std::map<std::string, Object> objects_;
+  std::uint64_t generation_ = next_generation();
 };
 
 }  // namespace ipa::aida

@@ -1,8 +1,9 @@
 // PawScript abstract syntax tree.
 //
-// The parser builds it; Interp::load()'s resolver pass then annotates it in
-// place (the `slot`/`global` fields and the frame sizes), so the run phase
-// never looks a name up by string.
+// The parser builds it and Interp::load() compiles it once, binding every
+// name to a frame slot or a global as it goes, into a tree of pre-bound
+// callables (interp.cpp). Nothing runs the tree itself, and the compiled
+// program does not keep it.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@ namespace ipa::script {
 
 struct Expr;
 struct Stmt;
-struct Global;  // an interpreter-owned global binding (interp.cpp)
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
@@ -39,7 +39,7 @@ inline const char* op_name(Op op) {
 struct Expr {
   enum class Kind {
     kLiteral,   // literal: a prebuilt number, string, bool or nil
-    kVar,       // text = name; resolved to `slot` or `global`
+    kVar,       // text = name
     kList,      // args = elements
     kUnary,     // op ∈ {kNeg, kNot}; lhs
     kBinary,    // op; lhs, rhs
@@ -55,8 +55,6 @@ struct Expr {
 
   Value literal;
   std::string text;  // variable / method name
-  int slot = -1;               // kVar: frame slot, or -1 for a global
-  Global* global = nullptr;    // kVar: the global binding when slot < 0
   ExprPtr lhs;
   ExprPtr rhs;
   std::vector<ExprPtr> args;
@@ -65,7 +63,7 @@ struct Expr {
 struct Stmt {
   enum class Kind {
     kExpr,      // expr
-    kLet,       // name, expr; resolved to `slot` or `global`
+    kLet,       // name, expr
     kAssign,    // target (kVar or kIndex), op ∈ {kSet, kAddSet, kSubSet}, expr
     kIf,        // cond, then_block, else_block
     kWhile,     // cond, body
@@ -81,8 +79,6 @@ struct Stmt {
 
   std::string name;
   Op op = Op::kSet;
-  int slot = -1;             // kLet: frame slot, or -1 for a top-level global
-  Global* global = nullptr;  // kLet: the global it defines when slot < 0
   ExprPtr expr;
   ExprPtr cond;
   ExprPtr target;
@@ -98,7 +94,6 @@ struct FunctionDecl {
   std::vector<std::string> params;
   std::vector<StmtPtr> body;
   int line = 1;
-  std::size_t frame_size = 0;  // parameters + locals, set by the resolver
 };
 
 /// A parsed script: top-level functions plus top-level statements (run in
@@ -106,7 +101,6 @@ struct FunctionDecl {
 struct Program {
   std::vector<FunctionDecl> functions;
   std::vector<StmtPtr> top_level;
-  std::size_t frame_size = 0;  // locals of nested top-level blocks
 };
 
 }  // namespace ipa::script

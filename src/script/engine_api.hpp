@@ -34,8 +34,9 @@ namespace ipa::script {
 
 /// The `event` object: a cursor over one RecordBatch. The analyzer moves it
 /// with set_row() between process() calls. Each method looks its field up
-/// in the batch's schema and reads that row's cell by slot id. The batch
-/// must outlive the cursor.
+/// in the batch's schema and reads that row's cell by slot id; a call site
+/// with a literal field name keeps the slot until the schema or its
+/// version changes. The batch must outlive the cursor.
 class EventCursor final : public NativeObject {
  public:
   explicit EventCursor(const data::RecordBatch* batch) : batch_(batch) {}
@@ -43,14 +44,26 @@ class EventCursor final : public NativeObject {
   void set_row(std::size_t row) { row_ = row; }
 
   std::string_view type_name() const override { return "event"; }
-  Result<Value> call_method(std::string_view method, std::vector<Value>& args) override;
+  Method find_method(std::string_view name) const override;
 
  private:
+  static Result<Value> get(NativeObject& self, std::span<const Value> args, CallSiteCache* cache);
+  static Result<Value> num(NativeObject& self, std::span<const Value> args, CallSiteCache* cache);
+  static Result<Value> str(NativeObject& self, std::span<const Value> args, CallSiteCache* cache);
+  static Result<Value> has(NativeObject& self, std::span<const Value> args, CallSiteCache* cache);
+  static Result<Value> index(NativeObject& self, std::span<const Value> args, CallSiteCache*);
+
+  /// The slot of the field named by args[0] (kNoSlot when absent), from
+  /// `cache` while it matches this batch's schema and version.
+  int slot(const std::string& name, CallSiteCache* cache) const;
+
   const data::RecordBatch* batch_;
   std::size_t row_ = 0;
 };
 
-/// Wrap a tree for script access. The tree must outlive the value.
+/// Wrap a tree for script access. The tree must outlive the value. A fill
+/// call site with a literal path keeps the object's handle until the
+/// tree's generation changes (a booking, removal, clear or merge).
 std::shared_ptr<NativeObject> make_tree_object(aida::Tree* tree);
 
 }  // namespace ipa::script

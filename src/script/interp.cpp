@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <type_traits>
+#include <typeinfo>
 
 #include "common/strings.hpp"
 #include "script/parser.hpp"
 
 namespace ipa::script {
 
-/// A global binding. The resolver interns every name a script reads as a
-/// global, defined or not, and stores a pointer to its entry in the AST;
-/// std::map nodes never move, so that pointer stays valid for the
-/// interpreter's lifetime and a later set_global() fills the same entry.
+/// A global binding. The compiler interns every name a script reads as a
+/// global, defined or not, and binds its code to the entry; std::map nodes
+/// never move, so that pointer stays valid for the interpreter's lifetime
+/// and a later set_global() fills the same entry.
 struct Global {
   Value value;
   bool defined = false;
@@ -27,11 +29,18 @@ struct ScriptError {
   Status status;
 };
 
-[[noreturn]] void fail(StatusCode code, const std::string& msg, int line) {
+// Error paths are cold and out of line, so that the nodes' hot paths stay
+// small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] void fail(StatusCode code, const std::string& msg,
+                                                 int line) {
   throw ScriptError{Status(code, msg + " (line " + std::to_string(line) + ")")};
 }
 
-/// How a statement finished; a `return` leaves its value in Impl::result.
+[[noreturn, gnu::cold, gnu::noinline]] void fail_budget(int line) {
+  fail(StatusCode::kResourceExhausted, "script exceeded its step budget", line);
+}
+
+/// How a statement finished; a `return` leaves its value in Machine::result.
 enum class Flow { kNormal, kReturn, kBreak, kContinue };
 
 /// The error for a `return`, `break` or `continue` that left its context.
@@ -41,27 +50,1287 @@ Status stray(Flow flow) {
                           (flow == Flow::kBreak ? "break" : "continue") + "' outside a loop");
 }
 
-/// The resolver pass: binds every parameter and block-local `let` to a frame
-/// slot and every other name to an interned Global, annotating the AST.
-class Resolver {
+/// The value stack every call frame is a slice of. It grows in chunks that
+/// never move, so a caller's frame stays put while its callees push theirs.
+class ValueStack {
  public:
-  explicit Resolver(Globals& globals) : globals_(globals) {}
+  struct Mark {
+    std::size_t chunk;
+    std::size_t top;
+  };
 
-  void resolve(Program& program) {
-    for (FunctionDecl& fn : program.functions) {
-      scopes_.assign(1, {});
-      next_slot_ = max_slot_ = 0;
-      for (const std::string& param : fn.params) declare(param);
-      for (StmtPtr& stmt : fn.body) resolve(*stmt);  // the body shares the params' scope
-      fn.frame_size = static_cast<std::size_t>(max_slot_);
-    }
-    scopes_.clear();  // no scope: top-level `let`s define globals
-    next_slot_ = max_slot_ = 0;
-    for (StmtPtr& stmt : program.top_level) resolve(*stmt);
-    program.frame_size = static_cast<std::size_t>(max_slot_);
+  ValueStack() {
+    chunks_.push_back(make_chunk(kChunkSlots));
+    enter_chunk(0, 0);
+  }
+
+  Mark mark() const { return {chunk_, top_}; }
+
+  /// `n` contiguous nil slots on top of the stack.
+  Value* push(std::size_t n) {
+    if (top_ + n > size_) [[unlikely]] next_chunk(n);
+    Value* base = slots_ + top_;
+    top_ += n;
+    return base;
+  }
+
+  /// Pop back to `mark`, clearing the popped slots so that they hold no
+  /// references.
+  void pop(Mark mark) {
+    if (chunk_ != mark.chunk) [[unlikely]] pop_chunks(mark.chunk);
+    for (std::size_t i = mark.top; i < top_; ++i) slots_[i] = Value();
+    top_ = mark.top;
   }
 
  private:
+  static constexpr std::size_t kChunkSlots = 512;
+
+  struct Chunk {
+    std::unique_ptr<Value[]> slots;
+    std::size_t size = 0;
+    std::size_t used = 0;  // the top when a frame moved on to the next chunk
+  };
+
+  static Chunk make_chunk(std::size_t size) {
+    return {std::make_unique<Value[]>(size), size, 0};
+  }
+
+  void enter_chunk(std::size_t chunk, std::size_t top) {
+    chunk_ = chunk;
+    slots_ = chunks_[chunk].slots.get();
+    size_ = chunks_[chunk].size;
+    top_ = top;
+  }
+
+  [[gnu::noinline]] void next_chunk(std::size_t n) {
+    chunks_[chunk_].used = top_;
+    const std::size_t next = chunk_ + 1;
+    if (next == chunks_.size()) {
+      chunks_.push_back(make_chunk(std::max(n, kChunkSlots)));
+    } else if (chunks_[next].size < n) {
+      chunks_[next] = make_chunk(n);  // empty: nothing above the top lives
+    }
+    enter_chunk(next, 0);
+  }
+
+  [[gnu::noinline]] void pop_chunks(std::size_t chunk) {
+    while (chunk_ > chunk) {
+      for (std::size_t i = 0; i < top_; ++i) slots_[i] = Value();
+      enter_chunk(chunk_ - 1, chunks_[chunk_ - 1].used);
+    }
+  }
+
+  std::vector<Chunk> chunks_;
+  std::size_t chunk_ = 0;
+  Value* slots_ = nullptr;  // chunks_[chunk_]
+  std::size_t size_ = 0;
+  std::size_t top_ = 0;
+};
+
+/// Run state shared by every compiled node of one interpreter.
+struct Machine {
+  static constexpr int kMaxCallDepth = 256;
+
+  std::uint64_t max_steps = 0;
+  std::uint64_t steps = 0;
+  int call_depth = 0;
+  Value result;  // a `return`'s value on its way to the caller
+  Value spill;   // the non-number a num() that returned false produced
+  ValueStack stack;
+
+  /// Charge `n` steps, all on `line`.
+  [[gnu::always_inline]] void tick(std::uint32_t n, int line) {
+    steps += n;
+    if (steps > max_steps) [[unlikely]] fail_budget(line);
+  }
+};
+
+/// The num() result for a value that is not a number.
+[[gnu::cold, gnu::noinline]] bool spill(Machine& m, const Value& value) {
+  m.spill = value;
+  return false;
+}
+
+// --- compiled code -------------------------------------------------------------
+//
+// Each node is a callable bound at load time to its operands: frame slots,
+// Global entries, literals and child nodes. Every node charges its steps at
+// entry, before it evaluates anything. A node whose own first steps are
+// followed at once by a child's, with nothing between them that could fail,
+// charges both in one tick when they are on one line; so step counts, and
+// the line a budget error names, are those of one step per statement,
+// expression and loop iteration.
+
+class ExprNode;
+class StmtNode;
+using ExprNodePtr = std::unique_ptr<ExprNode>;
+using StmtNodePtr = std::unique_ptr<StmtNode>;
+using Block = std::vector<StmtNodePtr>;
+
+class ExprNode {
+ public:
+  ExprNode(int line, std::uint32_t ticks) : line_(line), ticks_(ticks) {}
+  virtual ~ExprNode() = default;
+
+  virtual Value eval(Machine& m, Value* frame) const = 0;
+
+  /// Evaluate to a number: true with `out` set, or false with the value
+  /// left in m.spill.
+  virtual bool num(Machine& m, Value* frame, double& out) const {
+    Value value = eval(m, frame);
+    if (value.is_number()) {
+      out = value.number();
+      return true;
+    }
+    m.spill = std::move(value);
+    return false;
+  }
+
+  /// Evaluate as a condition.
+  virtual bool test(Machine& m, Value* frame) const {
+    const Value value = eval(m, frame);
+    return value.is_bool() ? value.boolean() : value.truthy();
+  }
+
+  /// Evaluate, borrowing the node's storage instead of copying it where
+  /// nothing evaluated afterwards can change it: literals, locals (only
+  /// statements assign them, and callees have their own frames) and
+  /// function bindings.
+  virtual const Value& ref(Machine& m, Value* frame, Value& scratch) const {
+    scratch = eval(m, frame);
+    return scratch;
+  }
+
+  /// Storage that holds this node's value and stays unchanged while a call
+  /// that it is an argument of runs (a local's slot, a literal), so the
+  /// call can lend it instead of copying it; null when there is none.
+  /// Charges the node's steps only when it returns storage.
+  virtual const Value* borrow(Machine&, Value*) const { return nullptr; }
+
+  /// Take over the tick of a statement on this node's line that runs it
+  /// first thing.
+  void absorb(std::uint32_t ticks) { ticks_ += ticks; }
+  int line() const { return line_; }
+
+ protected:
+  void tick(Machine& m) const { m.tick(ticks_, line_); }
+
+  int line_;
+  std::uint32_t ticks_;
+};
+
+class StmtNode {
+ public:
+  explicit StmtNode(int line) : line_(line) {}
+  virtual ~StmtNode() = default;
+
+  virtual Flow exec(Machine& m, Value* frame) const = 0;
+
+  /// Hand this statement's own tick to `expr`, its first step, when both
+  /// are on one line.
+  void fold_into(ExprNode& expr) {
+    if (expr.line() != line_ || ticks_ == 0) return;
+    expr.absorb(ticks_);
+    ticks_ = 0;
+  }
+
+ protected:
+  void tick(Machine& m) const { m.tick(ticks_, line_); }
+
+  int line_;
+  std::uint32_t ticks_ = 1;
+};
+
+Flow run_block(const Block& block, Machine& m, Value* frame) {
+  for (const StmtNodePtr& stmt : block) {
+    const Flow flow = stmt->exec(m, frame);
+    if (flow != Flow::kNormal) return flow;
+  }
+  return Flow::kNormal;
+}
+
+/// `list index 5` / `list index nan`: an index as the error names it.
+std::string index_text(double index) {
+  if (std::isnan(index)) return "nan";
+  if (std::fabs(index) < 9.2e18) {
+    return std::to_string(static_cast<long long>(index));
+  }
+  return strings::format("%g", index);
+}
+
+/// `index` truncated toward zero, when that is a position in `size` items.
+/// The check is written so that NaN fails it before any integer conversion.
+bool in_range(double index, std::size_t size) {
+  return index > -1.0 && index < static_cast<double>(size);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void fail_list_index(double index, std::size_t size,
+                                                            int line) {
+  fail(StatusCode::kOutOfRange,
+       strings::format("list index %s out of range (size %zu)", index_text(index).c_str(), size),
+       line);
+}
+
+std::size_t to_position(double index) {
+  return static_cast<std::size_t>(static_cast<std::int64_t>(index));
+}
+
+/// `lhs op rhs` when the operands are not both numbers: equality on any
+/// values, `+` on strings and lists, ordering on strings; the rest fails.
+Value binary_generic(Op op, const Value& lhs, const Value& rhs, int line) {
+  if (op == Op::kEq) return Value(lhs == rhs);
+  if (op == Op::kNe) return Value(!(lhs == rhs));
+
+  if (op == Op::kAdd) {
+    if (lhs.is_string() || rhs.is_string()) {
+      return Value(lhs.to_display() + rhs.to_display());
+    }
+    if (lhs.is_list() && rhs.is_list()) {
+      List combined = lhs.list();
+      combined.insert(combined.end(), rhs.list().begin(), rhs.list().end());
+      return Value::list(std::move(combined));
+    }
+    fail(StatusCode::kInvalidArgument,
+         "cannot add " + std::string(lhs.type_name()) + " and " + std::string(rhs.type_name()),
+         line);
+  }
+
+  if (op == Op::kLt || op == Op::kLe || op == Op::kGt || op == Op::kGe) {
+    if (!lhs.is_string() || !rhs.is_string()) {
+      fail(StatusCode::kInvalidArgument,
+           "cannot compare " + std::string(lhs.type_name()) + " with " +
+               std::string(rhs.type_name()),
+           line);
+    }
+    const int cmp = lhs.string().compare(rhs.string());
+    if (op == Op::kLt) return Value(cmp < 0);
+    if (op == Op::kLe) return Value(cmp <= 0);
+    if (op == Op::kGt) return Value(cmp > 0);
+    return Value(cmp >= 0);
+  }
+
+  // Remaining operators are numeric-only.
+  fail(StatusCode::kInvalidArgument,
+       "operator '" + std::string(op_name(op)) + "' needs numbers, got " +
+           std::string(lhs.type_name()) + " and " + std::string(rhs.type_name()),
+       line);
+}
+
+// --- leaves --------------------------------------------------------------------
+
+class Literal final : public ExprNode {
+ public:
+  Literal(int line, Value value) : ExprNode(line, 1), value_(std::move(value)) {}
+
+  Value eval(Machine& m, Value*) const override {
+    tick(m);
+    return value_;
+  }
+  bool num(Machine& m, Value*, double& out) const override {
+    tick(m);
+    if (value_.is_number()) {
+      out = value_.number();
+      return true;
+    }
+    m.spill = value_;
+    return false;
+  }
+  bool test(Machine& m, Value*) const override {
+    tick(m);
+    return value_.truthy();
+  }
+  const Value& ref(Machine& m, Value*, Value&) const override {
+    tick(m);
+    return value_;
+  }
+  const Value* borrow(Machine& m, Value*) const override {
+    tick(m);
+    return &value_;
+  }
+
+ private:
+  Value value_;
+};
+
+/// A local's slot holds its value, or for a parameter the function never
+/// assigns, possibly a reference to the caller's storage.
+class Local final : public ExprNode {
+ public:
+  Local(int line, int slot) : ExprNode(line, 1), slot_(slot) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    tick(m);
+    return frame[slot_].deref();
+  }
+  bool num(Machine& m, Value* frame, double& out) const override {
+    tick(m);
+    const Value& value = frame[slot_].deref();
+    if (!value.is_number()) [[unlikely]] return spill(m, value);
+    out = value.number();
+    return true;
+  }
+  bool test(Machine& m, Value* frame) const override {
+    tick(m);
+    const Value& value = frame[slot_].deref();
+    return value.is_bool() ? value.boolean() : value.truthy();
+  }
+  const Value& ref(Machine& m, Value* frame, Value&) const override {
+    tick(m);
+    return frame[slot_].deref();
+  }
+  const Value* borrow(Machine& m, Value* frame) const override {
+    tick(m);
+    return &frame[slot_].deref();
+  }
+
+ private:
+  int slot_;
+};
+
+/// The value a global name reads: its definition, else the loaded
+/// program's function of that name.
+[[noreturn, gnu::cold, gnu::noinline]] void fail_undefined(const std::string& name, int line) {
+  fail(StatusCode::kNotFound, "undefined variable '" + name + "'", line);
+}
+
+inline const Value& read_global(const Global& global, const std::string& name, int line) {
+  if (global.defined) return global.value;
+  if (global.function.is_nil()) [[unlikely]] fail_undefined(name, line);
+  return global.function;
+}
+
+class GlobalVar final : public ExprNode {
+ public:
+  GlobalVar(int line, Global* global, std::string name)
+      : ExprNode(line, 1), global_(global), name_(std::move(name)) {}
+
+  Value eval(Machine& m, Value*) const override {
+    tick(m);
+    return read_global(*global_, name_, line_);
+  }
+  const Value& ref(Machine& m, Value*, Value& scratch) const override {
+    tick(m);
+    const Value& value = read_global(*global_, name_, line_);
+    if (!global_->defined) return value;  // a function binding changes only on load()
+    scratch = value;  // a call made later could reassign the global
+    return scratch;
+  }
+
+ private:
+  Global* global_;
+  std::string name_;
+};
+
+// --- operands of fused nodes ---------------------------------------------------
+//
+// A fused node reads a leaf operand (a local, or a number literal, on the
+// node's own line) in place and charges its step with its own. A node
+// operand is a child node that ticks for itself.
+
+struct LocalArg {
+  static constexpr bool kLeaf = true;
+  int slot;
+
+  [[gnu::always_inline]] bool num(Machine& m, Value* frame, double& out) const {
+    const Value& value = frame[slot].deref();
+    if (!value.is_number()) [[unlikely]] return spill(m, value);
+    out = value.number();
+    return true;
+  }
+  [[gnu::always_inline]] const Value& ref(Machine&, Value* frame, Value&) const { return frame[slot].deref(); }
+  [[gnu::always_inline]] Value eval(Machine&, Value* frame) const { return frame[slot].deref(); }
+};
+
+struct NumberArg {
+  static constexpr bool kLeaf = true;
+  Value value;  // a number
+
+  [[gnu::always_inline]] bool num(Machine&, Value*, double& out) const {
+    out = value.number();
+    return true;
+  }
+  [[gnu::always_inline]] const Value& ref(Machine&, Value*, Value&) const { return value; }
+  [[gnu::always_inline]] Value eval(Machine&, Value*) const { return value; }
+};
+
+struct NodeArg {
+  static constexpr bool kLeaf = false;
+  ExprNodePtr node;
+
+  [[gnu::always_inline]] bool num(Machine& m, Value* frame, double& out) const { return node->num(m, frame, out); }
+  [[gnu::always_inline]] const Value& ref(Machine& m, Value* frame, Value& scratch) const {
+    return node->ref(m, frame, scratch);
+  }
+  [[gnu::always_inline]] Value eval(Machine& m, Value* frame) const { return node->eval(m, frame); }
+};
+
+/// Steps a fused node with operands A then B charges at entry: its own, a
+/// leaf A's, and a leaf B's when A is a leaf too (reading A cannot fail).
+/// A leaf B after a node A ticks once A is done (kLateTick).
+template <class A, class B>
+struct FusedTicks {
+  static constexpr std::uint32_t kEntry = 1 + A::kLeaf + (A::kLeaf && B::kLeaf);
+  static constexpr bool kLateTick = !A::kLeaf && B::kLeaf;
+};
+
+/// `container[index]` on a list or a string.
+template <class C, class I>
+class Index final : public ExprNode {
+  using Ticks = FusedTicks<C, I>;
+
+ public:
+  Index(int line, C container, I index)
+      : ExprNode(line, Ticks::kEntry), container_(std::move(container)), index_(std::move(index)) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    Value scratch;
+    double index;
+    const Value& container = operands(m, frame, scratch, index);
+    if (container.is_list()) return container.list()[list_position(container.list(), index)];
+    return character(container, index);
+  }
+
+  bool num(Machine& m, Value* frame, double& out) const override {
+    Value scratch;
+    double index;
+    const Value& container = operands(m, frame, scratch, index);
+    if (!container.is_list()) [[unlikely]] {
+      m.spill = character(container, index);
+      return false;
+    }
+    const Value& item = container.list()[list_position(container.list(), index)];
+    if (!item.is_number()) [[unlikely]] return spill(m, item);
+    out = item.number();
+    return true;
+  }
+
+ private:
+  const Value& operands(Machine& m, Value* frame, Value& scratch, double& index) const {
+    tick(m);
+    const Value& container = container_.ref(m, frame, scratch);
+    if constexpr (Ticks::kLateTick) m.tick(1, line_);
+    if (!index_.num(m, frame, index)) [[unlikely]] {
+      fail(StatusCode::kInvalidArgument, "index must be a number", line_);
+    }
+    return container;
+  }
+
+  std::size_t list_position(const List& items, double index) const {
+    if (!in_range(index, items.size())) [[unlikely]] fail_list_index(index, items.size(), line_);
+    return to_position(index);
+  }
+
+  Value character(const Value& container, double index) const {
+    if (!container.is_string()) {
+      fail(StatusCode::kInvalidArgument,
+           "cannot index " + std::string(container.type_name()), line_);
+    }
+    const std::string& s = container.string();
+    if (!in_range(index, s.size())) {
+      fail(StatusCode::kOutOfRange, "string index out of range", line_);
+    }
+    return Value(std::string(1, s[to_position(index)]));
+  }
+
+  C container_;
+  I index_;
+};
+
+/// A `list[index]` of two locals on the fused node's line, read in place.
+/// Unlike a leaf it can fail, so it charges its own steps when it runs.
+struct IndexArg {
+  static constexpr bool kLeaf = false;
+  Index<LocalArg, LocalArg> read;
+
+  bool num(Machine& m, Value* frame, double& out) const { return read.num(m, frame, out); }
+  const Value& ref(Machine& m, Value* frame, Value& scratch) const {
+    scratch = read.eval(m, frame);
+    return scratch;
+  }
+  Value eval(Machine& m, Value* frame) const { return read.eval(m, frame); }
+};
+
+// --- operators -----------------------------------------------------------------
+
+/// Nodes whose value is a bool compute it in test().
+class BoolExpr : public ExprNode {
+ public:
+  using ExprNode::ExprNode;
+
+  Value eval(Machine& m, Value* frame) const final { return Value(test(m, frame)); }
+  bool num(Machine& m, Value* frame, double&) const final {
+    m.spill = Value(test(m, frame));
+    return false;
+  }
+};
+
+constexpr bool is_compare(Op op) {
+  return op == Op::kEq || op == Op::kNe || op == Op::kLt || op == Op::kLe || op == Op::kGt ||
+         op == Op::kGe;
+}
+
+/// Arithmetic on two numbers; never builds a Value.
+template <Op kOp>
+double arithmetic(double a, double b, int line) {
+  if constexpr (kOp == Op::kAdd) return a + b;
+  if constexpr (kOp == Op::kSub) return a - b;
+  if constexpr (kOp == Op::kMul) return a * b;
+  if constexpr (kOp == Op::kDiv) {
+    if (b == 0.0) fail(StatusCode::kInvalidArgument, "division by zero", line);
+    return a / b;
+  }
+  if constexpr (kOp == Op::kMod) {
+    if (b == 0.0) fail(StatusCode::kInvalidArgument, "modulo by zero", line);
+    return std::fmod(a, b);
+  }
+}
+
+/// A compare of two numbers. A NaN compares unordered: neither less nor
+/// greater, so <= and >= hold for it, as a three-way compare would have it.
+template <Op kOp>
+bool compare(double a, double b) {
+  if constexpr (kOp == Op::kEq) return a == b;
+  if constexpr (kOp == Op::kNe) return a != b;
+  if constexpr (kOp == Op::kLt) return a < b;
+  if constexpr (kOp == Op::kLe) return !(a > b);
+  if constexpr (kOp == Op::kGt) return a > b;
+  if constexpr (kOp == Op::kGe) return !(a < b);
+}
+
+/// Evaluates both operands of a binary operator in order. On two numbers
+/// it runs on doubles; anything else goes to binary_generic().
+template <Op kOp, class L, class R>
+class Binary final : public ExprNode {
+  using Ticks = FusedTicks<L, R>;
+
+ public:
+  Binary(int line, L lhs, R rhs)
+      : ExprNode(line, Ticks::kEntry), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    if constexpr (is_compare(kOp)) {
+      return Value(test(m, frame));
+    } else {
+      double out;
+      if (num(m, frame, out)) return Value(out);
+      return std::move(m.spill);
+    }
+  }
+
+  bool num(Machine& m, Value* frame, double& out) const override {
+    if constexpr (is_compare(kOp)) {
+      m.spill = Value(test(m, frame));
+      return false;
+    } else {
+      double a, b;
+      if (!operands(m, frame, a, b)) return false;  // a string or a list
+      out = arithmetic<kOp>(a, b, line_);
+      return true;
+    }
+  }
+
+  bool test(Machine& m, Value* frame) const override {
+    if constexpr (is_compare(kOp)) {
+      double a, b;
+      if (!operands(m, frame, a, b)) return m.spill.boolean();
+      return compare<kOp>(a, b);
+    } else {
+      double out;
+      if (num(m, frame, out)) return out != 0.0;
+      return Value(std::move(m.spill)).truthy();
+    }
+  }
+
+ private:
+  /// True with both operands' numbers; false with the generic result in
+  /// m.spill, which is never a number.
+  bool operands(Machine& m, Value* frame, double& a, double& b) const {
+    tick(m);
+    if (!lhs_.num(m, frame, a)) [[unlikely]] {
+      Value lhs = std::move(m.spill);
+      if constexpr (Ticks::kLateTick) m.tick(1, line_);
+      const Value rhs = rhs_.eval(m, frame);
+      m.spill = binary_generic(kOp, lhs, rhs, line_);
+      return false;
+    }
+    if constexpr (Ticks::kLateTick) m.tick(1, line_);
+    if (!rhs_.num(m, frame, b)) [[unlikely]] {
+      const Value rhs = std::move(m.spill);
+      m.spill = binary_generic(kOp, Value(a), rhs, line_);
+      return false;
+    }
+    return true;
+  }
+
+  L lhs_;
+  R rhs_;
+};
+
+class Negate final : public ExprNode {
+ public:
+  Negate(int line, ExprNodePtr operand) : ExprNode(line, 1), operand_(std::move(operand)) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    double out;
+    num(m, frame, out);
+    return Value(out);
+  }
+  bool num(Machine& m, Value* frame, double& out) const override {
+    tick(m);
+    double a;
+    if (!operand_->num(m, frame, a)) {
+      fail(StatusCode::kInvalidArgument,
+           "unary '-' needs a number, got " + std::string(m.spill.type_name()), line_);
+    }
+    out = -a;
+    return true;
+  }
+  bool test(Machine& m, Value* frame) const override {
+    double out;
+    num(m, frame, out);
+    return out != 0.0;
+  }
+
+ private:
+  ExprNodePtr operand_;
+};
+
+class Not final : public BoolExpr {
+ public:
+  Not(int line, ExprNodePtr operand) : BoolExpr(line, 1), operand_(std::move(operand)) {}
+
+  bool test(Machine& m, Value* frame) const override {
+    tick(m);
+    return !operand_->test(m, frame);
+  }
+
+ private:
+  ExprNodePtr operand_;
+};
+
+template <bool kAnd>
+class Logical final : public BoolExpr {
+ public:
+  Logical(int line, ExprNodePtr lhs, ExprNodePtr rhs)
+      : BoolExpr(line, 1), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+
+  bool test(Machine& m, Value* frame) const override {
+    tick(m);
+    const bool lhs = lhs_->test(m, frame);
+    if (kAnd ? !lhs : lhs) return lhs;
+    return rhs_->test(m, frame);
+  }
+
+ private:
+  ExprNodePtr lhs_;
+  ExprNodePtr rhs_;
+};
+
+class ListExpr final : public ExprNode {
+ public:
+  ListExpr(int line, std::vector<ExprNodePtr> items)
+      : ExprNode(line, 1), items_(std::move(items)) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    tick(m);
+    List items;
+    items.reserve(items_.size());
+    for (const ExprNodePtr& item : items_) items.push_back(item->eval(m, frame));
+    return Value::list(std::move(items));
+  }
+
+ private:
+  std::vector<ExprNodePtr> items_;
+};
+
+// --- calls ---------------------------------------------------------------------
+
+}  // namespace
+
+/// A compiled function: its body runs on a frame of `frame_size` slots whose
+/// first `arity` hold the arguments.
+struct Function {
+  std::string name;
+  std::size_t arity = 0;
+  std::size_t frame_size = 0;
+  int line = 1;
+  /// Bit i: parameter i (of the first 64) is never assigned, so a call may
+  /// lend it the caller's storage as a Value::reference().
+  std::uint64_t lent = 0;
+  Block body;
+
+  bool lends(std::size_t param) const { return param < 64 && (lent >> param & 1) != 0; }
+};
+
+namespace {
+
+/// Run `fn` on `frame`, whose first `argc` slots hold the arguments; its
+/// result is left in m.result.
+void run_function(Machine& m, const Function& fn, Value* frame, std::size_t argc, int line) {
+  if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] {
+    fail(StatusCode::kResourceExhausted,
+         "recursion too deep (limit " + std::to_string(Machine::kMaxCallDepth) + ")", line);
+  }
+  if (argc != fn.arity) [[unlikely]] {
+    fail(StatusCode::kInvalidArgument,
+         strings::format("function '%s' expects %zu argument(s), got %zu", fn.name.c_str(),
+                         fn.arity, argc),
+         line);
+  }
+  ++m.call_depth;
+  const Flow flow = run_block(fn.body, m, frame);
+  --m.call_depth;
+  if (flow == Flow::kReturn) return;
+  if (flow != Flow::kNormal) throw ScriptError{stray(flow)};
+  m.result = Value::nil();
+}
+
+/// A call's arguments, evaluated in order. A local on the call's line is
+/// read in place, without a node of its own.
+class Args {
+ public:
+  struct Arg {
+    int slot;          // a local on the call's line, or -1
+    ExprNodePtr node;  // the argument otherwise
+  };
+
+  Args(int line, std::vector<Arg> args) : line_(line), args_(std::move(args)) {}
+
+  std::size_t size() const { return args_.size(); }
+
+  /// Evaluate argument `i` into `slot`: as a reference to the caller's
+  /// storage when `lend` and the argument has storage, as a value otherwise.
+  void eval_into(Machine& m, Value* frame, std::size_t i, bool lend, Value& slot) const {
+    const Arg& arg = args_[i];
+    if (arg.slot >= 0) {
+      m.tick(1, line_);
+      const Value& value = frame[arg.slot].deref();
+      if (lend) {
+        slot = Value::reference(value);
+      } else {
+        slot = value;
+      }
+      return;
+    }
+    const Value* lent = lend ? arg.node->borrow(m, frame) : nullptr;
+    if (lent != nullptr) {
+      slot = Value::reference(*lent);
+    } else {
+      slot = arg.node->eval(m, frame);
+    }
+  }
+
+  /// The arguments for a native: a lone local or literal is lent in place;
+  /// any other arguments are evaluated into slots pushed on the value stack.
+  std::span<const Value> for_native(Machine& m, Value* frame) const {
+    if (args_.size() == 1) {
+      const Arg& arg = args_[0];
+      if (arg.slot >= 0) {
+        m.tick(1, line_);
+        return {&frame[arg.slot].deref(), 1};
+      }
+      if (const Value* lent = arg.node->borrow(m, frame)) return {lent, 1};
+    }
+    Value* slots = m.stack.push(args_.size());
+    for (std::size_t i = 0; i < args_.size(); ++i) eval_into(m, frame, i, false, slots[i]);
+    return {slots, args_.size()};
+  }
+
+ private:
+  int line_;
+  std::vector<Arg> args_;
+};
+
+/// Call `callee` with `args`, leaving the result in m.result. A script
+/// function's arguments go straight into its frame on the value stack, as
+/// references to the caller's storage for the parameters it never assigns.
+void call(Machine& m, Value* frame, const Value& callee, const Args& args, int line) {
+  const ValueStack::Mark mark = m.stack.mark();
+  if (callee.type() == Value::Type::kFunction) {
+    const Function& fn = callee.function();
+    const std::size_t argc = args.size();
+    Value* slots = m.stack.push(std::max(argc, fn.frame_size));
+    for (std::size_t i = 0; i < argc; ++i) args.eval_into(m, frame, i, fn.lends(i), slots[i]);
+    run_function(m, fn, slots, argc, line);
+    m.stack.pop(mark);
+    return;
+  }
+  const std::span<const Value> native = args.for_native(m, frame);
+  if (callee.type() != Value::Type::kNative) [[unlikely]] {
+    fail(StatusCode::kInvalidArgument,
+         "value of type " + std::string(callee.type_name()) + " is not callable", line);
+  }
+  auto called = callee.native()(native);
+  m.stack.pop(mark);
+  if (!called.is_ok()) [[unlikely]] fail(called.status().code(), called.status().message(), line);
+  m.result = std::move(*called);
+}
+
+/// Calls leave their result in m.result; this hands it on. `Call::run()`
+/// makes the call.
+template <class Call>
+class CallExpr : public ExprNode {
+ public:
+  using ExprNode::ExprNode;
+
+  Value eval(Machine& m, Value* frame) const final {
+    static_cast<const Call&>(*this).run(m, frame);
+    return std::move(m.result);
+  }
+  bool num(Machine& m, Value* frame, double& out) const final {
+    static_cast<const Call&>(*this).run(m, frame);
+    if (!m.result.is_number()) [[unlikely]] {
+      m.spill = std::move(m.result);
+      return false;
+    }
+    out = m.result.number();
+    return true;
+  }
+};
+
+/// `name(args)` where `name` is a global, on the call's line: one tick for
+/// the call and the name.
+class CallGlobal final : public CallExpr<CallGlobal> {
+ public:
+  CallGlobal(int line, Global* global, std::string name, Args args, bool args_run_code)
+      : CallExpr(line, 2),
+        global_(global),
+        name_(std::move(name)),
+        args_(std::move(args)),
+        args_run_code_(args_run_code) {}
+
+  void run(Machine& m, Value* frame) const {
+    tick(m);
+    const Value& callee = read_global(*global_, name_, line_);
+    // Arguments that call nothing cannot reassign the global under the call.
+    if (!global_->defined || !args_run_code_) return call(m, frame, callee, args_, line_);
+    const Value held = callee;
+    call(m, frame, held, args_, line_);
+  }
+
+ private:
+  Global* global_;
+  std::string name_;
+  Args args_;
+  bool args_run_code_;
+};
+
+class CallValue final : public CallExpr<CallValue> {
+ public:
+  CallValue(int line, ExprNodePtr callee, Args args)
+      : CallExpr(line, 1), callee_(std::move(callee)), args_(std::move(args)) {}
+
+  void run(Machine& m, Value* frame) const {
+    tick(m);
+    Value scratch;
+    const Value& callee = callee_->ref(m, frame, scratch);
+    call(m, frame, callee, args_, line_);
+  }
+
+ private:
+  ExprNodePtr callee_;
+  Args args_;
+};
+
+/// `receiver.name(args)`. The site looks the method up once per receiver
+/// type, and keeps a CallSiteCache for it when the first argument is a
+/// string literal.
+template <class R>
+class MethodCall final : public CallExpr<MethodCall<R>> {
+ public:
+  MethodCall(int line, R receiver, std::string name, Args args, bool literal_key)
+      : CallExpr<MethodCall<R>>(line, 1 + R::kLeaf),
+        receiver_(std::move(receiver)),
+        name_(std::move(name)),
+        args_(std::move(args)),
+        literal_key_(literal_key) {}
+
+  void run(Machine& m, Value* frame) const {
+    this->tick(m);
+    Value scratch;
+    const Value& receiver = receiver_.ref(m, frame, scratch);
+    if (!receiver.is_object()) {
+      fail(StatusCode::kInvalidArgument,
+           "cannot call method '" + name_ + "' on " + std::string(receiver.type_name()), this->line_);
+    }
+    NativeObject& object = *receiver.object();
+    const ValueStack::Mark mark = m.stack.mark();
+    const std::span<const Value> args = args_.for_native(m, frame);
+    const std::type_info& type = typeid(object);
+    if (type_ != &type) {
+      type_ = &type;
+      method_ = object.find_method(name_);
+      cache_ = CallSiteCache();
+    }
+    auto called = method_ != nullptr ? method_(object, args, literal_key_ ? &cache_ : nullptr)
+                                     : object.call_method(name_, args);
+    m.stack.pop(mark);
+    if (!called.is_ok()) [[unlikely]] {
+      fail(called.status().code(), called.status().message(), this->line_);
+    }
+    m.result = std::move(*called);
+  }
+
+ private:
+  R receiver_;
+  std::string name_;
+  Args args_;
+  bool literal_key_;
+  mutable const std::type_info* type_ = nullptr;
+  mutable NativeObject::Method method_ = nullptr;
+  mutable CallSiteCache cache_;
+};
+
+// --- statements ----------------------------------------------------------------
+
+/// Evaluate `expr` into `to`. For an expression that mostly yields numbers
+/// (`numeric`), through num(), so that a number is stored directly.
+inline void store(Machine& m, Value* frame, const ExprNode& expr, bool numeric, Value& to) {
+  double number;
+  if (!numeric) {
+    to = expr.eval(m, frame);
+  } else if (expr.num(m, frame, number)) {
+    to = Value(number);
+  } else {
+    to = std::move(m.spill);
+  }
+}
+
+class ExprStmt final : public StmtNode {
+ public:
+  ExprStmt(int line, ExprNodePtr expr) : StmtNode(line), expr_(std::move(expr)) {
+    fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    expr_->eval(m, frame);
+    return Flow::kNormal;
+  }
+
+ private:
+  ExprNodePtr expr_;
+};
+
+/// `let` of a local, and `=` to one.
+class SetLocal final : public StmtNode {
+ public:
+  SetLocal(int line, int slot, ExprNodePtr expr, bool numeric)
+      : StmtNode(line), slot_(slot), expr_(std::move(expr)), numeric_(numeric) {
+    fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    store(m, frame, *expr_, numeric_, frame[slot_]);
+    return Flow::kNormal;
+  }
+
+ private:
+  int slot_;
+  ExprNodePtr expr_;
+  bool numeric_;
+};
+
+/// A top-level `let`.
+class DefineGlobal final : public StmtNode {
+ public:
+  DefineGlobal(int line, Global* global, ExprNodePtr expr)
+      : StmtNode(line), global_(global), expr_(std::move(expr)) {
+    fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    global_->value = expr_->eval(m, frame);
+    global_->defined = true;
+    return Flow::kNormal;
+  }
+
+ private:
+  Global* global_;
+  ExprNodePtr expr_;
+};
+
+[[noreturn]] void fail_compound(Op op, int line) {
+  fail(StatusCode::kInvalidArgument, "'" + std::string(op_name(op)) + "' needs numbers", line);
+}
+
+/// `slot += value` / `slot -= value` on numbers.
+void update(Value& slot, Op op, const Value& value, int line) {
+  if (!slot.is_number() || !value.is_number()) fail_compound(op, line);
+  slot = Value(op == Op::kAddSet ? slot.number() + value.number()
+                                 : slot.number() - value.number());
+}
+
+/// `local += value` / `local -= value`; `x += 1` charges its literal's step
+/// with its own.
+template <bool kAdd, class V>
+class UpdateLocal final : public StmtNode {
+ public:
+  UpdateLocal(int line, int slot, V value)
+      : StmtNode(line), slot_(slot), value_(std::move(value)) {
+    ticks_ += V::kLeaf;
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    double value;
+    Value& slot = frame[slot_];
+    if (!value_.num(m, frame, value) || !slot.is_number()) {
+      fail_compound(kAdd ? Op::kAddSet : Op::kSubSet, line_);
+    }
+    slot = Value(kAdd ? slot.number() + value : slot.number() - value);
+    return Flow::kNormal;
+  }
+
+ private:
+  int slot_;
+  V value_;
+};
+
+/// `=`, `+=` or `-=` to a global, which must be defined already.
+class AssignGlobal final : public StmtNode {
+ public:
+  AssignGlobal(int line, Op op, Global* global, std::string name, ExprNodePtr expr)
+      : StmtNode(line), op_(op), global_(global), name_(std::move(name)), expr_(std::move(expr)) {
+    fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    Value value = expr_->eval(m, frame);
+    if (!global_->defined) {
+      fail(StatusCode::kNotFound,
+           "assignment to undeclared variable '" + name_ + "' (use 'let')", line_);
+    }
+    if (op_ == Op::kSet) {
+      global_->value = std::move(value);
+    } else {
+      update(global_->value, op_, value, line_);
+    }
+    return Flow::kNormal;
+  }
+
+ private:
+  Op op_;
+  Global* global_;
+  std::string name_;
+  ExprNodePtr expr_;
+};
+
+/// `list[index] = value` (or `+=`, `-=`): the value first, then the list,
+/// then the index.
+class AssignIndex final : public StmtNode {
+ public:
+  AssignIndex(int line, Op op, ExprNodePtr container, ExprNodePtr index, ExprNodePtr expr)
+      : StmtNode(line),
+        op_(op),
+        container_(std::move(container)),
+        index_(std::move(index)),
+        expr_(std::move(expr)) {
+    fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    Value scratch;
+    const Value& value = expr_->ref(m, frame, scratch);
+    const Value container = container_->eval(m, frame);  // keeps the list alive
+    const Value index = index_->eval(m, frame);
+    if (!container.is_list() || !index.is_number()) {
+      fail(StatusCode::kInvalidArgument, "indexed assignment needs list[number]", line_);
+    }
+    List& items = container.list();
+    if (!in_range(index.number(), items.size())) {
+      fail(StatusCode::kOutOfRange, "list index out of range in assignment", line_);
+    }
+    Value& slot = items[to_position(index.number())];
+    if (op_ == Op::kSet) {
+      slot = value;
+    } else {
+      update(slot, op_, value, line_);
+    }
+    return Flow::kNormal;
+  }
+
+ private:
+  Op op_;
+  ExprNodePtr container_;
+  ExprNodePtr index_;
+  ExprNodePtr expr_;
+};
+
+class If final : public StmtNode {
+ public:
+  If(int line, ExprNodePtr cond, Block then_block, Block else_block)
+      : StmtNode(line),
+        cond_(std::move(cond)),
+        then_(std::move(then_block)),
+        else_(std::move(else_block)) {
+    fold_into(*cond_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    return run_block(cond_->test(m, frame) ? then_ : else_, m, frame);
+  }
+
+ private:
+  ExprNodePtr cond_;
+  Block then_;
+  Block else_;
+};
+
+/// `while` and `for`. Every iteration ticks, so a loop with an empty body
+/// and no condition or step (`for (;;) {}`) still runs out of budget. A
+/// condition and a step of the common counted-loop shapes (`i < n`,
+/// `i += 1`) are fused nodes held by value, run without a dispatch; other
+/// ones are node pointers, possibly null.
+template <class Cond, class Step>
+class Loop final : public StmtNode {
+ public:
+  Loop(int line, StmtNodePtr init, Cond cond, Step step, Block body)
+      : StmtNode(line),
+        init_(std::move(init)),
+        cond_(std::move(cond)),
+        step_(std::move(step)),
+        body_(std::move(body)) {}
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    if (init_) init_->exec(m, frame);
+    while (test(m, frame)) {
+      m.tick(1, line_);
+      const Flow flow = run_block(body_, m, frame);
+      if (flow == Flow::kBreak) break;
+      if (flow == Flow::kReturn) return flow;
+      advance(m, frame);
+    }
+    return Flow::kNormal;
+  }
+
+ private:
+  bool test(Machine& m, Value* frame) const {
+    if constexpr (std::is_same_v<Cond, ExprNodePtr>) {
+      return cond_ == nullptr || cond_->test(m, frame);
+    } else {
+      return cond_.test(m, frame);
+    }
+  }
+
+  void advance(Machine& m, Value* frame) const {
+    if constexpr (std::is_same_v<Step, StmtNodePtr>) {
+      if (step_) step_->exec(m, frame);
+    } else {
+      step_.exec(m, frame);
+    }
+  }
+
+  StmtNodePtr init_;
+  Cond cond_;
+  Step step_;
+  Block body_;
+};
+
+class Return final : public StmtNode {
+ public:
+  Return(int line, ExprNodePtr expr, bool numeric)
+      : StmtNode(line), expr_(std::move(expr)), numeric_(numeric) {
+    if (expr_) fold_into(*expr_);
+  }
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    if (expr_) {
+      store(m, frame, *expr_, numeric_, m.result);
+    } else {
+      m.result = Value::nil();
+    }
+    return Flow::kReturn;
+  }
+
+ private:
+  ExprNodePtr expr_;
+  bool numeric_;
+};
+
+/// `break`, `continue` and `{ ... }`.
+class Jump final : public StmtNode {
+ public:
+  Jump(int line, Flow flow) : StmtNode(line), flow_(flow) {}
+
+  Flow exec(Machine& m, Value*) const override {
+    tick(m);
+    return flow_;
+  }
+
+ private:
+  Flow flow_;
+};
+
+class Nested final : public StmtNode {
+ public:
+  Nested(int line, Block body) : StmtNode(line), body_(std::move(body)) {}
+
+  Flow exec(Machine& m, Value* frame) const override {
+    tick(m);
+    return run_block(body_, m, frame);
+  }
+
+ private:
+  Block body_;
+};
+
+}  // namespace
+
+/// A loaded program, compiled. Function values alias it, so it lives as
+/// long as any of its functions does.
+struct CompiledProgram {
+  std::vector<Function> functions;
+  Block top_level;
+  std::size_t frame_size = 0;  // locals of nested top-level blocks
+};
+
+namespace {
+
+/// Compiles a parsed program in one pass. It binds every parameter and
+/// block-local `let` to a frame slot and every other name to an interned
+/// Global as it goes, and picks fused nodes for leaf operands.
+class Compiler {
+ public:
+  explicit Compiler(Globals& globals) : globals_(globals) {}
+
+  std::shared_ptr<const CompiledProgram> compile(const Program& program) {
+    auto compiled = std::make_shared<CompiledProgram>();
+    compiled->functions.reserve(program.functions.size());
+    for (const FunctionDecl& decl : program.functions) {
+      scopes_.assign(1, {});
+      next_slot_ = max_slot_ = 0;
+      for (const std::string& param : decl.params) declare(param);
+      arity_ = decl.params.size();
+      assigned_params_ = 0;
+      Function fn;
+      fn.name = decl.name;
+      fn.arity = arity_;
+      fn.line = decl.line;
+      fn.body = statements(decl.body);  // the body shares the params' scope
+      fn.frame_size = static_cast<std::size_t>(max_slot_);
+      const std::uint64_t params = arity_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << arity_) - 1;
+      fn.lent = params & ~assigned_params_;
+      compiled->functions.push_back(std::move(fn));
+    }
+    scopes_.clear();  // no scope: top-level `let`s define globals
+    next_slot_ = max_slot_ = 0;
+    arity_ = 0;
+    compiled->top_level = statements(program.top_level);
+    compiled->frame_size = static_cast<std::size_t>(max_slot_);
+    return compiled;
+  }
+
+ private:
+  // --- scopes ---
+
   int declare(const std::string& name) {
     scopes_.back().emplace_back(name, next_slot_);
     max_slot_ = std::max(max_slot_, next_slot_ + 1);
@@ -77,477 +1346,357 @@ class Resolver {
     next_slot_ = first_slot;  // a later sibling scope reuses the slots
   }
 
-  void block(std::vector<StmtPtr>& body) {
-    scoped([&] {
-      for (StmtPtr& stmt : body) resolve(*stmt);
-    });
-  }
-
-  void resolve(Stmt& stmt) {
-    switch (stmt.kind) {
-      case Stmt::Kind::kExpr:
-      case Stmt::Kind::kReturn:
-        if (stmt.expr) resolve(*stmt.expr);
-        return;
-      case Stmt::Kind::kLet:
-        resolve(*stmt.expr);  // first, so `let x = x + 1;` reads the outer x
-        if (scopes_.empty()) {
-          stmt.global = &globals_[stmt.name];
-        } else {
-          stmt.slot = declare(stmt.name);
-        }
-        return;
-      case Stmt::Kind::kAssign:
-        resolve(*stmt.expr);
-        resolve(*stmt.target);
-        return;
-      case Stmt::Kind::kIf:
-        resolve(*stmt.cond);
-        block(stmt.body);
-        block(stmt.else_body);
-        return;
-      case Stmt::Kind::kWhile:
-        resolve(*stmt.cond);
-        block(stmt.body);
-        return;
-      case Stmt::Kind::kFor:
-        // The header is its own scope; the step sees it but not the body.
-        scoped([&] {
-          if (stmt.init) resolve(*stmt.init);
-          if (stmt.cond) resolve(*stmt.cond);
-          block(stmt.body);
-          if (stmt.step) resolve(*stmt.step);
-        });
-        return;
-      case Stmt::Kind::kBreak:
-      case Stmt::Kind::kContinue:
-        return;
-      case Stmt::Kind::kBlock:
-        block(stmt.body);
-        return;
+  /// The frame slot `name` is bound to here, or -1 for a global.
+  int local_slot(const std::string& name) const {
+    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
+      for (auto it = scope->rbegin(); it != scope->rend(); ++it) {
+        if (it->first == name) return it->second;
+      }
     }
+    return -1;
   }
 
-  void resolve(Expr& expr) {
-    if (expr.kind == Expr::Kind::kVar) {
-      for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-        for (auto it = scope->rbegin(); it != scope->rend(); ++it) {
-          if (it->first == expr.text) {
-            expr.slot = it->second;
-            return;
+  Global* global(const std::string& name) { return &globals_[name]; }
+
+  /// Hand `make` the operand form of `expr` as an operand of a node on
+  /// `line`: a LocalArg or (when kNumbers) a NumberArg for a leaf on that
+  /// line, a NodeArg otherwise.
+  template <bool kNumbers, bool kIndexes = false, typename Make>
+  auto with_operand(const Expr& expr, int line, Make&& make) {
+    if (expr.line == line) {
+      if (const int slot = local_leaf(expr, line); slot >= 0) return make(LocalArg{slot});
+      if constexpr (kNumbers) {
+        if (expr.kind == Expr::Kind::kLiteral && expr.literal.is_number()) {
+          return make(NumberArg{expr.literal});
+        }
+      }
+      if constexpr (kIndexes) {
+        if (expr.kind == Expr::Kind::kIndex) {
+          const int list = local_leaf(*expr.lhs, line);
+          const int index = local_leaf(*expr.rhs, line);
+          if (list >= 0 && index >= 0) {
+            return make(IndexArg{{line, LocalArg{list}, LocalArg{index}}});
           }
         }
       }
-      expr.global = &globals_[expr.text];
-      return;
     }
-    if (expr.lhs) resolve(*expr.lhs);
-    if (expr.rhs) resolve(*expr.rhs);
-    for (ExprPtr& arg : expr.args) resolve(*arg);
+    return make(NodeArg{compile(expr)});
+  }
+
+  /// The slot of `expr` when it is a local on `line`, else -1.
+  int local_leaf(const Expr& expr, int line) const {
+    if (expr.kind != Expr::Kind::kVar || expr.line != line) return -1;
+    return local_slot(expr.text);
+  }
+
+  /// Whether `expr` mostly yields numbers: arithmetic, a negation, a list
+  /// item, a function's result.
+  static bool numeric(const Expr& expr) {
+    switch (expr.kind) {
+      case Expr::Kind::kBinary: return !is_compare(expr.op);
+      case Expr::Kind::kUnary: return expr.op == Op::kNeg;
+      case Expr::Kind::kIndex:
+      case Expr::Kind::kCall: return true;
+      default: return false;
+    }
+  }
+
+  // --- statements ---
+
+  Block statements(const std::vector<StmtPtr>& body) {
+    Block block;
+    block.reserve(body.size());
+    for (const StmtPtr& stmt : body) block.push_back(compile(*stmt));
+    return block;
+  }
+
+  Block block(const std::vector<StmtPtr>& body) {
+    Block out;
+    scoped([&] { out = statements(body); });
+    return out;
+  }
+
+  StmtNodePtr compile(const Stmt& stmt) {
+    const int line = stmt.line;
+    switch (stmt.kind) {
+      case Stmt::Kind::kExpr:
+        return std::make_unique<ExprStmt>(line, compile(*stmt.expr));
+      case Stmt::Kind::kLet: {
+        ExprNodePtr value = compile(*stmt.expr);  // first, so `let x = x + 1;` reads the outer x
+        if (scopes_.empty()) {
+          return std::make_unique<DefineGlobal>(line, global(stmt.name), std::move(value));
+        }
+        return std::make_unique<SetLocal>(line, declare(stmt.name), std::move(value),
+                                          numeric(*stmt.expr));
+      }
+      case Stmt::Kind::kAssign:
+        return assign(stmt);
+      case Stmt::Kind::kIf: {
+        ExprNodePtr cond = compile(*stmt.cond);
+        Block then_block = block(stmt.body);
+        return std::make_unique<If>(line, std::move(cond), std::move(then_block),
+                                    block(stmt.else_body));
+      }
+      case Stmt::Kind::kWhile:
+        return loop(stmt, nullptr);
+      case Stmt::Kind::kFor: {
+        // The header is its own scope; the step sees it but not the body.
+        StmtNodePtr compiled;
+        scoped([&] { compiled = loop(stmt, stmt.init ? compile(*stmt.init) : nullptr); });
+        return compiled;
+      }
+      case Stmt::Kind::kReturn:
+        return std::make_unique<Return>(line, stmt.expr ? compile(*stmt.expr) : nullptr,
+                                        stmt.expr && numeric(*stmt.expr));
+      case Stmt::Kind::kBreak:
+        return std::make_unique<Jump>(line, Flow::kBreak);
+      case Stmt::Kind::kContinue:
+        return std::make_unique<Jump>(line, Flow::kContinue);
+      case Stmt::Kind::kBlock:
+        return std::make_unique<Nested>(line, block(stmt.body));
+    }
+    return nullptr;
+  }
+
+  /// A loop: the condition, then the body in its own scope, then the step.
+  StmtNodePtr loop(const Stmt& stmt, StmtNodePtr init) {
+    const int line = stmt.line;
+    // A condition `local OP local` or `local OP number`, OP one of < <= > >=.
+    const Expr* cond = stmt.cond.get();
+    const bool fused_cond = cond != nullptr && cond->kind == Expr::Kind::kBinary &&
+                            (cond->op == Op::kLt || cond->op == Op::kLe ||
+                             cond->op == Op::kGt || cond->op == Op::kGe) &&
+                            local_leaf(*cond->lhs, cond->line) >= 0 &&
+                            (local_leaf(*cond->rhs, cond->line) >= 0 ||
+                             (cond->rhs->kind == Expr::Kind::kLiteral &&
+                              cond->rhs->line == cond->line && cond->rhs->literal.is_number()));
+    ExprNodePtr cond_node = cond != nullptr && !fused_cond ? compile(*cond) : nullptr;
+    Block body = block(stmt.body);
+    // A step `local += number` on one line.
+    const Stmt* step = stmt.step.get();
+    const bool fused_step = step != nullptr && step->kind == Stmt::Kind::kAssign &&
+                            step->op == Op::kAddSet && local_leaf(*step->target, step->line) >= 0 &&
+                            step->expr->kind == Expr::Kind::kLiteral &&
+                            step->expr->line == step->line && step->expr->literal.is_number();
+    StmtNodePtr step_node = step != nullptr && !fused_step ? compile(*step) : nullptr;
+
+    const auto with_step = [&](auto cond_value) -> StmtNodePtr {
+      using Cond = decltype(cond_value);
+      if (!fused_step) {
+        return std::make_unique<Loop<Cond, StmtNodePtr>>(line, std::move(init),
+                                                        std::move(cond_value),
+                                                        std::move(step_node), std::move(body));
+      }
+      const int slot = local_leaf(*step->target, step->line);
+      note_assignment(slot);
+      using Step = UpdateLocal<true, NumberArg>;
+      return std::make_unique<Loop<Cond, Step>>(
+          line, std::move(init), std::move(cond_value),
+          Step(step->line, slot, NumberArg{step->expr->literal}), std::move(body));
+    };
+    if (!fused_cond) return with_step(std::move(cond_node));
+    const int lhs = local_leaf(*cond->lhs, cond->line);
+    const int rhs = local_leaf(*cond->rhs, cond->line);
+    const auto with_rhs = [&](auto make) -> StmtNodePtr {
+      if (rhs >= 0) return make(LocalArg{rhs});
+      return make(NumberArg{cond->rhs->literal});
+    };
+    return with_rhs([&](auto rhs_arg) -> StmtNodePtr {
+      using R = decltype(rhs_arg);
+      const int at = cond->line;
+      switch (cond->op) {
+        case Op::kLt: return with_step(Binary<Op::kLt, LocalArg, R>(at, {lhs}, rhs_arg));
+        case Op::kLe: return with_step(Binary<Op::kLe, LocalArg, R>(at, {lhs}, rhs_arg));
+        case Op::kGt: return with_step(Binary<Op::kGt, LocalArg, R>(at, {lhs}, rhs_arg));
+        default: return with_step(Binary<Op::kGe, LocalArg, R>(at, {lhs}, rhs_arg));
+      }
+    });
+  }
+
+  /// Record an assignment to local `slot`: a parameter assigned in its
+  /// function's body can no longer be lent.
+  void note_assignment(int slot) {
+    if (slot >= 0 && static_cast<std::size_t>(slot) < arity_ && slot < 64) {
+      assigned_params_ |= std::uint64_t{1} << slot;  // params take the lowest slots
+    }
+  }
+
+  StmtNodePtr assign(const Stmt& stmt) {
+    const int line = stmt.line;
+    const Expr& target = *stmt.target;
+    if (target.kind == Expr::Kind::kIndex) {
+      ExprNodePtr value = compile(*stmt.expr);
+      ExprNodePtr container = compile(*target.lhs);
+      return std::make_unique<AssignIndex>(line, stmt.op, std::move(container),
+                                           compile(*target.rhs), std::move(value));
+    }
+    const int slot = local_slot(target.text);
+    note_assignment(slot);
+    if (slot < 0) {
+      return std::make_unique<AssignGlobal>(line, stmt.op, global(target.text), target.text,
+                                            compile(*stmt.expr));
+    }
+    if (stmt.op == Op::kSet) {
+      return std::make_unique<SetLocal>(line, slot, compile(*stmt.expr), numeric(*stmt.expr));
+    }
+    const bool add = stmt.op == Op::kAddSet;
+    return with_operand<true, true>(*stmt.expr, line, [&](auto value) -> StmtNodePtr {
+      using V = decltype(value);
+      if (add) return std::make_unique<UpdateLocal<true, V>>(line, slot, std::move(value));
+      return std::make_unique<UpdateLocal<false, V>>(line, slot, std::move(value));
+    });
+  }
+
+  // --- expressions ---
+
+  ExprNodePtr compile(const Expr& expr) {
+    const int line = expr.line;
+    switch (expr.kind) {
+      case Expr::Kind::kLiteral:
+        return std::make_unique<Literal>(line, expr.literal);
+      case Expr::Kind::kVar: {
+        const int slot = local_slot(expr.text);
+        if (slot >= 0) return std::make_unique<Local>(line, slot);
+        return std::make_unique<GlobalVar>(line, global(expr.text), expr.text);
+      }
+      case Expr::Kind::kList: {
+        std::vector<ExprNodePtr> items;
+        for (const ExprPtr& item : expr.args) items.push_back(compile(*item));
+        return std::make_unique<ListExpr>(line, std::move(items));
+      }
+      case Expr::Kind::kUnary:
+        if (expr.op == Op::kNot) return std::make_unique<Not>(line, compile(*expr.lhs));
+        return std::make_unique<Negate>(line, compile(*expr.lhs));
+      case Expr::Kind::kLogical: {
+        ExprNodePtr lhs = compile(*expr.lhs);
+        if (expr.op == Op::kAnd) {
+          return std::make_unique<Logical<true>>(line, std::move(lhs), compile(*expr.rhs));
+        }
+        return std::make_unique<Logical<false>>(line, std::move(lhs), compile(*expr.rhs));
+      }
+      case Expr::Kind::kBinary:
+        return with_operand<false, true>(*expr.lhs, line, [&](auto lhs) {
+          return with_operand<true, true>(*expr.rhs, line, [&](auto rhs) {
+            return binary(expr.op, line, std::move(lhs), std::move(rhs));
+          });
+        });
+      case Expr::Kind::kIndex:
+        return with_operand<false>(*expr.lhs, line, [&](auto container) {
+          return with_operand<true>(*expr.rhs, line, [&](auto index) -> ExprNodePtr {
+            return std::make_unique<Index<decltype(container), decltype(index)>>(
+                line, std::move(container), std::move(index));
+          });
+        });
+      case Expr::Kind::kCall:
+        return call(expr);
+      case Expr::Kind::kMethod: {
+        const bool literal_key = !expr.args.empty() &&
+                                 expr.args[0]->kind == Expr::Kind::kLiteral &&
+                                 expr.args[0]->literal.is_string();
+        return with_operand<false>(*expr.lhs, line, [&](auto receiver) -> ExprNodePtr {
+          return std::make_unique<MethodCall<decltype(receiver)>>(
+              line, std::move(receiver), expr.text, arguments(expr), literal_key);
+        });
+      }
+    }
+    return nullptr;
+  }
+
+  template <class L, class R>
+  static ExprNodePtr binary(Op op, int line, L lhs, R rhs) {
+    switch (op) {
+#define IPA_BINARY(OP) \
+  case OP:             \
+    return std::make_unique<Binary<OP, L, R>>(line, std::move(lhs), std::move(rhs));
+      IPA_BINARY(Op::kAdd)
+      IPA_BINARY(Op::kSub)
+      IPA_BINARY(Op::kMul)
+      IPA_BINARY(Op::kDiv)
+      IPA_BINARY(Op::kMod)
+      IPA_BINARY(Op::kEq)
+      IPA_BINARY(Op::kNe)
+      IPA_BINARY(Op::kLt)
+      IPA_BINARY(Op::kLe)
+      IPA_BINARY(Op::kGt)
+      IPA_BINARY(Op::kGe)
+#undef IPA_BINARY
+      default:
+        return nullptr;  // the parser makes no other binary operator
+    }
+  }
+
+  Args arguments(const Expr& call) {
+    std::vector<Args::Arg> args;
+    args.reserve(call.args.size());
+    for (const ExprPtr& arg : call.args) {
+      const int slot = arg->kind == Expr::Kind::kVar && arg->line == call.line
+                           ? local_slot(arg->text)
+                           : -1;
+      args.push_back({slot, slot < 0 ? compile(*arg) : nullptr});
+    }
+    return Args(call.line, std::move(args));
+  }
+
+  ExprNodePtr call(const Expr& expr) {
+    const Expr& callee = *expr.lhs;
+    if (callee.kind == Expr::Kind::kVar && callee.line == expr.line &&
+        local_slot(callee.text) < 0) {
+      const bool args_run_code = std::any_of(expr.args.begin(), expr.args.end(),
+                                             [](const ExprPtr& arg) { return runs_code(*arg); });
+      return std::make_unique<CallGlobal>(expr.line, global(callee.text), callee.text,
+                                          arguments(expr), args_run_code);
+    }
+    ExprNodePtr callee_node = compile(callee);
+    return std::make_unique<CallValue>(expr.line, std::move(callee_node), arguments(expr));
+  }
+
+  /// Whether evaluating `expr` can run a script function or a native, and so
+  /// assign a global.
+  static bool runs_code(const Expr& expr) {
+    if (expr.kind == Expr::Kind::kCall || expr.kind == Expr::Kind::kMethod) return true;
+    if (expr.lhs && runs_code(*expr.lhs)) return true;
+    if (expr.rhs && runs_code(*expr.rhs)) return true;
+    return std::any_of(expr.args.begin(), expr.args.end(),
+                       [](const ExprPtr& arg) { return runs_code(*arg); });
   }
 
   Globals& globals_;
   std::vector<std::vector<std::pair<std::string, int>>> scopes_;
   int next_slot_ = 0;
   int max_slot_ = 0;
+  std::size_t arity_ = 0;               // of the function being compiled
+  std::uint64_t assigned_params_ = 0;   // bit i: its body assigns parameter i
 };
 
 }  // namespace
 
 struct Interp::Impl {
-  static constexpr int kMaxCallDepth = 256;
-
-  InterpOptions options;
+  Machine machine;
   Globals globals;
   std::vector<std::string> print_output;
-  std::uint64_t steps = 0;
-  int call_depth = 0;
-  Value result;  // a `return`'s value on its way to the caller
-  // frames[d] holds the locals of the call at depth d. One vector per depth
-  // keeps a caller's frame in place while its callees push theirs.
-  std::vector<std::vector<Value>> frames = std::vector<std::vector<Value>>(kMaxCallDepth + 1);
-  std::vector<Value> arg_stack;  // evaluated call arguments
-
-  void tick(int line) {
-    if (++steps > options.max_steps_per_call) {
-      fail(StatusCode::kResourceExhausted, "script exceeded its step budget", line);
-    }
-  }
-
-  static void define(Global& global, Value value) {
-    global.value = std::move(value);
-    global.defined = true;
-  }
 
   /// One host-level entry (load's top level, a call): a fresh step budget,
-  /// and a ScriptError unwinds the frames and arguments this entry pushed.
+  /// and a ScriptError unwinds the frames this entry pushed.
   template <typename Body>
   Result<Value> enter(Body&& body) {
-    steps = 0;
-    const int depth = call_depth;
-    const std::size_t args = arg_stack.size();
+    Machine& m = machine;
+    m.steps = 0;
+    const int depth = m.call_depth;
+    const ValueStack::Mark mark = m.stack.mark();
     try {
       return body();
     } catch (ScriptError& error) {
-      for (int d = call_depth; d > depth; --d) frames[static_cast<std::size_t>(d)].clear();
-      call_depth = depth;
-      arg_stack.resize(args);
+      m.call_depth = depth;
+      m.stack.pop(mark);
+      m.result = Value();
+      m.spill = Value();
       return error.status;
     }
-  }
-
-  // --- expression evaluation ------------------------------------------------
-
-  const Value& lookup(const Expr& expr, Value* frame) const {
-    if (expr.slot >= 0) return frame[expr.slot];
-    const Global& global = *expr.global;
-    if (global.defined) return global.value;
-    if (!global.function.is_nil()) return global.function;
-    fail(StatusCode::kNotFound, "undefined variable '" + expr.text + "'", expr.line);
-  }
-
-  /// Evaluate `expr`, borrowing a literal or a variable's storage instead of
-  /// copying it where nothing evaluated afterwards can reassign it: locals
-  /// (only statements assign, and callees have their own frames) and
-  /// functions.
-  const Value& operand(const Expr& expr, Value* frame, Value& scratch) {
-    if (expr.kind == Expr::Kind::kLiteral) {
-      tick(expr.line);
-      return expr.literal;
-    }
-    if (expr.kind != Expr::Kind::kVar) {
-      scratch = eval(expr, frame);
-      return scratch;
-    }
-    tick(expr.line);
-    const Value& value = lookup(expr, frame);
-    if (expr.slot >= 0 || !expr.global->defined) return value;
-    scratch = value;
-    return scratch;
-  }
-
-  /// Evaluate a condition; a bool skips the out-of-line truthy().
-  bool test(const Expr& expr, Value* frame) {
-    Value scratch;
-    const Value& value = operand(expr, frame, scratch);
-    return value.is_bool() ? value.boolean() : value.truthy();
-  }
-
-  Value eval(const Expr& expr, Value* frame) {
-    tick(expr.line);
-    switch (expr.kind) {
-      case Expr::Kind::kLiteral: return expr.literal;
-      case Expr::Kind::kVar: return lookup(expr, frame);
-      case Expr::Kind::kList: return eval_list(expr, frame);
-      case Expr::Kind::kUnary: return eval_unary(expr, frame);
-      case Expr::Kind::kLogical: {
-        const bool lhs = test(*expr.lhs, frame);
-        if (expr.op == Op::kAnd ? !lhs : lhs) return Value(lhs);
-        return Value(test(*expr.rhs, frame));
-      }
-      case Expr::Kind::kBinary: return eval_binary(expr, frame);
-      case Expr::Kind::kCall: return eval_call(expr, frame);
-      case Expr::Kind::kMethod: return eval_method(expr, frame);
-      case Expr::Kind::kIndex: return eval_index(expr, frame);
-    }
-    fail(StatusCode::kInternal, "unhandled expression kind", expr.line);
-  }
-
-  Value eval_list(const Expr& expr, Value* frame) {
-    List items;
-    items.reserve(expr.args.size());
-    for (const ExprPtr& element : expr.args) items.push_back(eval(*element, frame));
-    return Value::list(std::move(items));
-  }
-
-  Value eval_unary(const Expr& expr, Value* frame) {
-    Value scratch;
-    const Value& operand = this->operand(*expr.lhs, frame, scratch);
-    if (expr.op == Op::kNot) return Value(!operand.truthy());
-    if (!operand.is_number()) {
-      fail(StatusCode::kInvalidArgument,
-           "unary '-' needs a number, got " + std::string(operand.type_name()), expr.line);
-    }
-    return Value(-operand.number());
-  }
-
-  Value eval_call(const Expr& expr, Value* frame) {
-    Value scratch;
-    const Value& callee = operand(*expr.lhs, frame, scratch);
-    const std::size_t base = push_args(expr, frame);
-    if (callee.type() == Value::Type::kFunction) {
-      return call_script(callee.function(), base, expr.line);
-    }
-    if (callee.type() == Value::Type::kNative) {
-      std::vector<Value> args = pop_args(base);
-      auto called = callee.native()(args);
-      if (!called.is_ok()) fail(called.status().code(), called.status().message(), expr.line);
-      return std::move(*called);
-    }
-    fail(StatusCode::kInvalidArgument,
-         "value of type " + std::string(callee.type_name()) + " is not callable", expr.line);
-  }
-
-  Value eval_method(const Expr& expr, Value* frame) {
-    Value scratch;
-    const Value& receiver = operand(*expr.lhs, frame, scratch);
-    if (!receiver.is_object()) {
-      fail(StatusCode::kInvalidArgument,
-           "cannot call method '" + expr.text + "' on " + std::string(receiver.type_name()),
-           expr.line);
-    }
-    std::vector<Value> args = pop_args(push_args(expr, frame));
-    auto called = receiver.object()->call_method(expr.text, args);
-    if (!called.is_ok()) fail(called.status().code(), called.status().message(), expr.line);
-    return std::move(*called);
-  }
-
-  Value eval_index(const Expr& expr, Value* frame) {
-    Value container_scratch;
-    Value index_scratch;
-    const Value& container = operand(*expr.lhs, frame, container_scratch);
-    const Value& index = operand(*expr.rhs, frame, index_scratch);
-    if (!index.is_number()) {
-      fail(StatusCode::kInvalidArgument, "index must be a number", expr.line);
-    }
-    const auto i = static_cast<std::int64_t>(index.number());
-    if (container.is_list()) {
-      const List& items = container.list();
-      if (i < 0 || static_cast<std::size_t>(i) >= items.size()) {
-        fail(StatusCode::kOutOfRange,
-             strings::format("list index %lld out of range (size %zu)",
-                             static_cast<long long>(i), items.size()),
-             expr.line);
-      }
-      return items[static_cast<std::size_t>(i)];
-    }
-    if (container.is_string()) {
-      const std::string& s = container.string();
-      if (i < 0 || static_cast<std::size_t>(i) >= s.size()) {
-        fail(StatusCode::kOutOfRange, "string index out of range", expr.line);
-      }
-      return Value(std::string(1, s[static_cast<std::size_t>(i)]));
-    }
-    fail(StatusCode::kInvalidArgument,
-         "cannot index " + std::string(container.type_name()), expr.line);
-  }
-
-  Value eval_binary(const Expr& expr, Value* frame) {
-    Value lhs_scratch;
-    Value rhs_scratch;
-    const Value& lhs = operand(*expr.lhs, frame, lhs_scratch);
-    const Value& rhs = operand(*expr.rhs, frame, rhs_scratch);
-    const Op op = expr.op;
-    const bool numbers = lhs.is_number() && rhs.is_number();
-    if (numbers) {
-      const double a = lhs.number();
-      const double b = rhs.number();
-      switch (op) {
-        case Op::kAdd: return Value(a + b);
-        case Op::kSub: return Value(a - b);
-        case Op::kMul: return Value(a * b);
-        case Op::kDiv:
-          if (b == 0.0) fail(StatusCode::kInvalidArgument, "division by zero", expr.line);
-          return Value(a / b);
-        case Op::kMod:
-          if (b == 0.0) fail(StatusCode::kInvalidArgument, "modulo by zero", expr.line);
-          return Value(std::fmod(a, b));
-        // A NaN compares unordered: neither less nor greater, so <= and >=
-        // hold for it, as a three-way compare would have it.
-        case Op::kEq: return Value(a == b);
-        case Op::kNe: return Value(a != b);
-        case Op::kLt: return Value(a < b);
-        case Op::kLe: return Value(!(a > b));
-        case Op::kGt: return Value(a > b);
-        case Op::kGe: return Value(!(a < b));
-        default: break;
-      }
-    }
-
-    if (op == Op::kEq) return Value(lhs == rhs);
-    if (op == Op::kNe) return Value(!(lhs == rhs));
-
-    if (op == Op::kAdd) {
-      if (lhs.is_string() || rhs.is_string()) {
-        return Value(lhs.to_display() + rhs.to_display());
-      }
-      if (lhs.is_list() && rhs.is_list()) {
-        List combined = lhs.list();
-        combined.insert(combined.end(), rhs.list().begin(), rhs.list().end());
-        return Value::list(std::move(combined));
-      }
-      fail(StatusCode::kInvalidArgument,
-           "cannot add " + std::string(lhs.type_name()) + " and " +
-               std::string(rhs.type_name()),
-           expr.line);
-    }
-
-    if (op == Op::kLt || op == Op::kLe || op == Op::kGt || op == Op::kGe) {
-      if (!lhs.is_string() || !rhs.is_string()) {
-        fail(StatusCode::kInvalidArgument,
-             "cannot compare " + std::string(lhs.type_name()) + " with " +
-                 std::string(rhs.type_name()),
-             expr.line);
-      }
-      const int cmp = lhs.string().compare(rhs.string());
-      if (op == Op::kLt) return Value(cmp < 0);
-      if (op == Op::kLe) return Value(cmp <= 0);
-      if (op == Op::kGt) return Value(cmp > 0);
-      return Value(cmp >= 0);
-    }
-
-    // Remaining operators are numeric-only.
-    fail(StatusCode::kInvalidArgument,
-         "operator '" + std::string(op_name(op)) + "' needs numbers, got " +
-             std::string(lhs.type_name()) + " and " + std::string(rhs.type_name()),
-         expr.line);
-  }
-
-  /// Evaluate a call's arguments onto arg_stack; returns where they start.
-  std::size_t push_args(const Expr& call, Value* frame) {
-    const std::size_t base = arg_stack.size();
-    for (const ExprPtr& arg : call.args) arg_stack.push_back(eval(*arg, frame));
-    return base;
-  }
-
-  /// Move the arguments from `base` up into a vector for a native.
-  std::vector<Value> pop_args(std::size_t base) {
-    const auto first = arg_stack.begin() + static_cast<std::ptrdiff_t>(base);
-    std::vector<Value> args(std::make_move_iterator(first),
-                            std::make_move_iterator(arg_stack.end()));
-    arg_stack.resize(base);
-    return args;
-  }
-
-  /// Call `fn` with the arguments on arg_stack from `base` up.
-  Value call_script(const FunctionDecl& fn, std::size_t base, int line) {
-    if (call_depth >= kMaxCallDepth) {
-      fail(StatusCode::kResourceExhausted,
-           "recursion too deep (limit " + std::to_string(kMaxCallDepth) + ")", line);
-    }
-    const std::size_t argc = arg_stack.size() - base;
-    if (argc != fn.params.size()) {
-      fail(StatusCode::kInvalidArgument,
-           strings::format("function '%s' expects %zu argument(s), got %zu", fn.name.c_str(),
-                           fn.params.size(), argc),
-           line);
-    }
-    std::vector<Value>& frame = frames[static_cast<std::size_t>(++call_depth)];
-    frame.resize(fn.frame_size);
-    std::move(arg_stack.begin() + static_cast<std::ptrdiff_t>(base), arg_stack.end(),
-              frame.begin());
-    arg_stack.resize(base);
-    const Flow flow = exec_block(fn.body, frame.data());
-    frame.clear();
-    --call_depth;
-    if (flow == Flow::kReturn) return std::move(result);
-    if (flow != Flow::kNormal) throw ScriptError{stray(flow)};
-    return Value::nil();
-  }
-
-  // --- statement execution ---------------------------------------------------
-
-  Flow exec_block(const std::vector<StmtPtr>& body, Value* frame) {
-    for (const StmtPtr& stmt : body) {
-      const Flow flow = exec(*stmt, frame);
-      if (flow != Flow::kNormal) return flow;
-    }
-    return Flow::kNormal;
-  }
-
-  Flow exec(const Stmt& stmt, Value* frame) {
-    tick(stmt.line);
-    switch (stmt.kind) {
-      case Stmt::Kind::kExpr:
-        eval(*stmt.expr, frame);
-        return Flow::kNormal;
-      case Stmt::Kind::kLet:
-        if (stmt.slot >= 0) {
-          frame[stmt.slot] = eval(*stmt.expr, frame);
-        } else {
-          define(*stmt.global, eval(*stmt.expr, frame));
-        }
-        return Flow::kNormal;
-      case Stmt::Kind::kAssign: {
-        Value scratch;
-        const Value& value = operand(*stmt.expr, frame, scratch);
-        const Expr& target = *stmt.target;
-        Value* slot = nullptr;
-        Value container;  // keeps an indexed target's list alive
-        if (target.kind == Expr::Kind::kVar) {
-          if (target.slot >= 0) {
-            slot = &frame[target.slot];
-          } else if (target.global->defined) {
-            slot = &target.global->value;
-          } else {
-            fail(StatusCode::kNotFound,
-                 "assignment to undeclared variable '" + target.text + "' (use 'let')",
-                 stmt.line);
-          }
-        } else {  // kIndex: lhs[idx] = value
-          container = eval(*target.lhs, frame);
-          const Value index = eval(*target.rhs, frame);
-          if (!container.is_list() || !index.is_number()) {
-            fail(StatusCode::kInvalidArgument, "indexed assignment needs list[number]",
-                 stmt.line);
-          }
-          List& items = container.list();
-          const auto i = static_cast<std::int64_t>(index.number());
-          if (i < 0 || static_cast<std::size_t>(i) >= items.size()) {
-            fail(StatusCode::kOutOfRange, "list index out of range in assignment", stmt.line);
-          }
-          slot = &items[static_cast<std::size_t>(i)];
-        }
-        if (stmt.op == Op::kSet) {
-          *slot = value;
-          return Flow::kNormal;
-        }
-        if (!slot->is_number() || !value.is_number()) {
-          fail(StatusCode::kInvalidArgument,
-               "'" + std::string(op_name(stmt.op)) + "' needs numbers", stmt.line);
-        }
-        *slot = Value(stmt.op == Op::kAddSet ? slot->number() + value.number()
-                                             : slot->number() - value.number());
-        return Flow::kNormal;
-      }
-      case Stmt::Kind::kIf:
-        return exec_block(test(*stmt.cond, frame) ? stmt.body : stmt.else_body, frame);
-      // Every loop iteration ticks, so a loop with an empty body and no
-      // condition or step (`for (;;) {}`) still runs out of budget.
-      case Stmt::Kind::kWhile:
-        while (test(*stmt.cond, frame)) {
-          tick(stmt.line);
-          const Flow flow = exec_block(stmt.body, frame);
-          if (flow == Flow::kBreak) break;
-          if (flow == Flow::kReturn) return flow;
-        }
-        return Flow::kNormal;
-      case Stmt::Kind::kFor:
-        if (stmt.init) exec(*stmt.init, frame);
-        while (stmt.cond == nullptr || test(*stmt.cond, frame)) {
-          tick(stmt.line);
-          const Flow flow = exec_block(stmt.body, frame);
-          if (flow == Flow::kBreak) break;
-          if (flow == Flow::kReturn) return flow;
-          if (stmt.step) exec(*stmt.step, frame);
-        }
-        return Flow::kNormal;
-      case Stmt::Kind::kReturn:
-        result = stmt.expr ? eval(*stmt.expr, frame) : Value::nil();
-        return Flow::kReturn;
-      case Stmt::Kind::kBreak:
-        return Flow::kBreak;
-      case Stmt::Kind::kContinue:
-        return Flow::kContinue;
-      case Stmt::Kind::kBlock:
-        return exec_block(stmt.body, frame);
-    }
-    return Flow::kNormal;
   }
 };
 
 Interp::Interp(InterpOptions options) : impl_(std::make_unique<Impl>()) {
-  impl_->options = options;
+  impl_->machine.max_steps = options.max_steps_per_call;
   install_stdlib(*this);
 }
 
@@ -558,20 +1707,22 @@ Interp& Interp::operator=(Interp&&) noexcept = default;
 Status Interp::load(std::string_view source) {
   auto parsed = parse(source);
   IPA_RETURN_IF_ERROR(parsed.status());
-  auto program = std::make_shared<Program>(std::move(*parsed));
-  Resolver(impl_->globals).resolve(*program);
+  const std::shared_ptr<const CompiledProgram> program =
+      Compiler(impl_->globals).compile(*parsed);
 
   // Replace the program: every function binding now names the new one.
   for (auto& [name, global] : impl_->globals) global.function = Value::nil();
-  for (const FunctionDecl& fn : program->functions) {
+  for (const Function& fn : program->functions) {
     impl_->globals[fn.name].function = Value(FunctionRef(program, &fn));
   }
 
   return impl_
       ->enter([&]() -> Result<Value> {
-        std::vector<Value> frame(program->frame_size);
-        const Flow flow = impl_->exec_block(program->top_level, frame.data());
-        impl_->result = Value::nil();
+        Machine& m = impl_->machine;
+        const ValueStack::Mark mark = m.stack.mark();
+        const Flow flow = run_block(program->top_level, m, m.stack.push(program->frame_size));
+        m.stack.pop(mark);
+        m.result = Value::nil();
         if (flow != Flow::kNormal) return stray(flow);
         return Value::nil();
       })
@@ -605,14 +1756,23 @@ Result<Value> Interp::invoke(const Value& fn, std::span<const Value> args) {
                             " is not a script function");
   }
   return impl_->enter([&]() -> Result<Value> {
-    const std::size_t base = impl_->arg_stack.size();
-    impl_->arg_stack.insert(impl_->arg_stack.end(), args.begin(), args.end());
-    return impl_->call_script(fn.function(), base, fn.function().line);
+    Machine& m = impl_->machine;
+    const Function& function = fn.function();
+    const ValueStack::Mark mark = m.stack.mark();
+    Value* frame = m.stack.push(std::max(args.size(), function.frame_size));
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      frame[i] = function.lends(i) ? Value::reference(args[i]) : args[i];
+    }
+    run_function(m, function, frame, args.size(), function.line);
+    m.stack.pop(mark);
+    return std::move(m.result);
   });
 }
 
 void Interp::set_global(std::string name, Value value) {
-  Impl::define(impl_->globals[std::move(name)], std::move(value));
+  Global& global = impl_->globals[std::move(name)];
+  global.value = std::move(value);
+  global.defined = true;
 }
 
 Result<Value> Interp::global(std::string_view name) const {

@@ -1,20 +1,40 @@
-// PawScript tree-walking interpreter.
+// PawScript interpreter: compiles each script once, then runs the compiled
+// code. There is no tree-walker.
 //
 // Design notes:
-//  - load() parses, then runs a resolver pass over the AST once: every
-//    parameter and block-local `let` becomes an index into the call's flat
+//  - load() parses, then compiles in one pass (Feeley & Lapalme, "Using
+//    closures for code generation", 1987): every AST node becomes a node
+//    object bound to its operands, so running a script is calls from node
+//    to node, with no switch on node kinds and no name lookup. Every
+//    parameter and block-local `let` becomes an index into the call's
 //    frame, and every other name a pointer to an interned global binding.
 //    A global that nothing defines yet is still interned, so "undefined
 //    variable" stays a runtime error and a set_global()/register_native()
-//    after load() is visible to the loaded functions. Operators are enums.
+//    after load() is visible to the loaded functions.
+//  - Numbers take their own path: arithmetic and compares on two numbers
+//    work on doubles and build no tagged Value. Common shapes (`i < n`,
+//    `xs[i]`, `x += 1`, `xs[i] * ys[j]`, a counted `for` loop's condition
+//    and step) are fused nodes that read locals, number literals and list
+//    items in place and charge their steps in as few ticks as they can.
+//  - Call frames are slices of one reused value stack. Arguments are
+//    evaluated straight into the callee's frame; a parameter the function
+//    never assigns gets a reference to the caller's local or literal
+//    instead of a copy. Natives take a span over their arguments.
+//  - A method call site looks its method up once per receiver type and
+//    keeps per-site state for it (CallSiteCache): the schema slot of
+//    `event.get("px")`, the histogram of `tree.fill("/p", x)`.
 //  - Control flow is a value: a statement returns normal/return/break/
 //    continue and a return value travels in one interpreter slot. The only
 //    exception is a script error (the cold path); none escapes the public
 //    API, which returns Status/Result.
-//  - A function value shares ownership of its program, so it stays callable
-//    after a hot-reload replaces that program; globals persist across loads.
+//  - A function value shares ownership of its compiled program, so it stays
+//    callable after a hot-reload replaces that program; globals persist
+//    across loads.
 //  - A step budget bounds runaway scripts: the engine is interactive and a
-//    user's accidental `while(true)` must not wedge a worker node.
+//    user's accidental `while(true)` must not wedge a worker node. Fused
+//    steps are charged only where nothing between them could fail, so the
+//    count and the line of a budget error are those of one step per
+//    statement, expression and loop iteration.
 //  - print() output is captured and retrievable, so engine logs can relay
 //    script output back to the client.
 #pragma once

@@ -4,6 +4,14 @@
 
 namespace ipa::script {
 
+Result<Value> NativeObject::call_method(std::string_view method, std::span<const Value> args) {
+  const Method found = find_method(method);
+  if (found == nullptr) {
+    return unimplemented(std::string(type_name()) + ": no method '" + std::string(method) + "'");
+  }
+  return found(*this, args, nullptr);
+}
+
 bool Value::truthy() const {
   switch (type_) {
     case Type::kNil: return false;
@@ -24,6 +32,7 @@ std::string_view Value::type_name() const {
     case Type::kNative:
     case Type::kFunction: return "function";
     case Type::kObject: return object()->type_name();
+    case Type::kRef: return deref().type_name();
   }
   return "?";
 }
@@ -75,7 +84,7 @@ bool operator==(const Value& a, const Value& b) {
   }
 }
 
-Status check_arity(const std::vector<Value>& args, std::size_t min_args, std::size_t max_args,
+Status check_arity(std::span<const Value> args, std::size_t min_args, std::size_t max_args,
                    const char* what) {
   if (args.size() < min_args || args.size() > max_args) {
     if (min_args == max_args) {
@@ -88,21 +97,21 @@ Status check_arity(const std::vector<Value>& args, std::size_t min_args, std::si
   return Status::ok();
 }
 
-Result<double> arg_number(const std::vector<Value>& args, std::size_t i, const char* what) {
+Result<double> arg_number(std::span<const Value> args, std::size_t i, const char* what) {
   if (i >= args.size() || !args[i].is_number()) {
     return invalid_argument(strings::format("%s: argument %zu must be a number", what, i + 1));
   }
   return args[i].number();
 }
 
-Result<std::string> arg_string(const std::vector<Value>& args, std::size_t i, const char* what) {
+Result<std::string> arg_string(std::span<const Value> args, std::size_t i, const char* what) {
   if (i >= args.size() || !args[i].is_string()) {
     return invalid_argument(strings::format("%s: argument %zu must be a string", what, i + 1));
   }
   return args[i].string();
 }
 
-Result<std::shared_ptr<List>> arg_list(const std::vector<Value>& args, std::size_t i,
+Result<std::shared_ptr<List>> arg_list(std::span<const Value> args, std::size_t i,
                                        const char* what) {
   if (i >= args.size() || !args[i].is_list()) {
     return invalid_argument(strings::format("%s: argument %zu must be a list", what, i + 1));

@@ -5,13 +5,14 @@
 // native object (host-provided receiver with methods — how the engine
 // exposes the current event and the AIDA tree to scripts). Strings are
 // immutable and shared. A user function value shares ownership of the
-// program it was loaded from, so it stays callable after a hot-reload
-// replaces that program.
+// compiled program it was loaded from, so it stays callable after a
+// hot-reload replaces that program.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,24 +21,46 @@
 namespace ipa::script {
 
 struct Value;
-struct FunctionDecl;
+struct Function;  // a compiled script function (interp.cpp)
 using List = std::vector<Value>;
-using FunctionRef = std::shared_ptr<const FunctionDecl>;
+using FunctionRef = std::shared_ptr<const Function>;
+
+/// What a native method may keep between the calls from one call site: a
+/// schema slot, a histogram handle. A site hands its cache only to calls
+/// whose first argument is the same string literal every time, and resets
+/// it when the receiver's type changes.
+struct CallSiteCache {
+  const void* owner = nullptr;      // what `version`, `slot` and `handle` belong to
+  std::uint64_t version = 0;        // the owner's version when they were resolved
+  int slot = -1;
+  void* handle = nullptr;
+  std::shared_ptr<const void> pin;  // keeps a shared owner's address from being reused
+};
 
 /// Host object exposed to scripts (event, tree, ...). Methods are invoked
 /// as `obj.method(args)`.
 class NativeObject {
  public:
+  /// A method, looked up by name once per call site and receiver type.
+  /// `cache` is null when the call site cannot keep one.
+  using Method = Result<Value> (*)(NativeObject& self, std::span<const Value> args,
+                                   CallSiteCache* cache);
+
   virtual ~NativeObject() = default;
   virtual std::string_view type_name() const = 0;
-  virtual Result<Value> call_method(std::string_view method, std::vector<Value>& args) = 0;
+  /// The method called `name`, or null when this type has none.
+  virtual Method find_method(std::string_view name) const = 0;
+  /// Look `method` up and call it without a cache; kUnimplemented
+  /// ("<type>: no method '<name>'") when there is no such method.
+  Result<Value> call_method(std::string_view method, std::span<const Value> args);
 };
 
-using NativeFn = std::function<Result<Value>(std::vector<Value>&)>;
+using NativeFn = std::function<Result<Value>(std::span<const Value>)>;
 
 struct Value {
   enum class Type : std::uint8_t {
-    kNil, kNumber, kBool, kString, kList, kNative, kFunction, kObject
+    kNil, kNumber, kBool, kString, kList, kNative, kFunction, kObject,
+    kRef,  // a borrowed call argument; see reference()
   };
 
   Value() = default;
@@ -53,6 +76,23 @@ struct Value {
 
   static Value nil() { return Value(); }
   static Value list(List items) { return Value(std::make_shared<List>(std::move(items))); }
+
+  /// A call frame's slot for an argument the caller lends instead of
+  /// copying: it refers to `target` without owning it, so passing it costs
+  /// no reference count. Only the interpreter's frames hold one, for
+  /// parameters the function never assigns; it reads them through deref(),
+  /// so scripts and natives never see a reference.
+  static Value reference(const Value& target) {
+    Value slot;
+    slot.type_ = Type::kRef;
+    slot.ref_ = std::shared_ptr<const void>(std::shared_ptr<const void>(), &target);
+    return slot;
+  }
+
+  /// The value a reference() refers to; any other value itself.
+  const Value& deref() const {
+    return type_ == Type::kRef ? *static_cast<const Value*>(ref_.get()) : *this;
+  }
 
   Type type() const { return type_; }
   bool is_nil() const { return type_ == Type::kNil; }
@@ -72,7 +112,7 @@ struct Value {
     return std::static_pointer_cast<List>(std::const_pointer_cast<void>(ref_));
   }
   NativeFn& native() const { return *static_cast<NativeFn*>(mutable_ref()); }
-  const FunctionDecl& function() const { return *static_cast<const FunctionDecl*>(ref_.get()); }
+  const Function& function() const { return *static_cast<const Function*>(ref_.get()); }
   NativeObject* object() const { return static_cast<NativeObject*>(mutable_ref()); }
 
   /// nil/false → false; 0 and "" → false; everything else → true.
@@ -98,11 +138,11 @@ struct Value {
 };
 
 /// Argument helpers for native functions and methods.
-Result<double> arg_number(const std::vector<Value>& args, std::size_t i, const char* what);
-Result<std::string> arg_string(const std::vector<Value>& args, std::size_t i, const char* what);
-Result<std::shared_ptr<List>> arg_list(const std::vector<Value>& args, std::size_t i,
+Result<double> arg_number(std::span<const Value> args, std::size_t i, const char* what);
+Result<std::string> arg_string(std::span<const Value> args, std::size_t i, const char* what);
+Result<std::shared_ptr<List>> arg_list(std::span<const Value> args, std::size_t i,
                                        const char* what);
-Status check_arity(const std::vector<Value>& args, std::size_t min_args, std::size_t max_args,
+Status check_arity(std::span<const Value> args, std::size_t min_args, std::size_t max_args,
                    const char* what);
 
 }  // namespace ipa::script

@@ -17,6 +17,7 @@
 #include "data/splitter.hpp"
 #include "engine/code_bundle.hpp"
 #include "http/http.hpp"
+#include "script/interp.hpp"
 #include "script/parser.hpp"
 #include "serialize/serialize.hpp"
 #include "services/protocol.hpp"
@@ -256,7 +257,28 @@ TEST(Fuzz, PawScriptParserSurvivesRandomSources) {
     const std::string source =
         random_text(rng, 120, "funcletifwhile(){};=+-*/%!<>&|\"' \nreturn0123abc,.[]");
     auto program = script::parse(source);
-    (void)program;
+    if (!program.is_ok()) continue;
+    // Whatever parses also compiles and runs, the same way every time: two
+    // fresh interpreters agree on the load and on every function's result.
+    script::Interp first(script::InterpOptions{.max_steps_per_call = 10'000});
+    script::Interp second(script::InterpOptions{.max_steps_per_call = 10'000});
+    const Status loaded = first.load(source);
+    ASSERT_EQ(loaded, second.load(source)) << source;
+    if (!loaded.is_ok()) continue;
+    for (const script::FunctionDecl& fn : program->functions) {
+      std::vector<script::Value> args;
+      for (std::size_t i = 0; i < fn.params.size(); ++i) {
+        args.push_back(script::Value(static_cast<double>(i + 1)));
+      }
+      const auto a = first.call(fn.name, args);
+      const auto b = second.call(fn.name, args);
+      ASSERT_EQ(a.status(), b.status()) << source;
+      if (a.is_ok()) {  // functions compare by identity, so compare what they show
+        EXPECT_EQ(a->type(), b->type()) << source;
+        EXPECT_EQ(a->to_display(), b->to_display()) << source;
+      }
+    }
+    EXPECT_EQ(first.output(), second.output()) << source;
   }
 }
 

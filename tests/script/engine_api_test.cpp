@@ -231,3 +231,75 @@ func end(tree) { print("analysis complete"); }
 
 }  // namespace
 }  // namespace ipa::script
+// Bin counts that do not convert to an int fail before the conversion.
+namespace ipa::script {
+namespace {
+
+TEST_F(EngineApiTest, BookRejectsBinCountsOutsideInt) {
+  for (const char* call : {"tree.book_h1(\"/h\", sqrt(-1), 0, 1);",
+                           "tree.book_h1(\"/h\", 1e12, 0, 1);",
+                           "tree.book_prof(\"/p\", pow(10, 400), 0, 1);",
+                           "tree.book_h2(\"/h2\", 4, 0, 1, -1e300, 0, 1);"}) {
+    SCOPED_TRACE(call);
+    const auto result = run(call);
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("bin count"), std::string::npos)
+        << result.status().message();
+  }
+  EXPECT_TRUE(tree_.empty());
+}
+
+// A fill call site keeps the histogram it found until the tree changes;
+// booking again, clearing and a new tree at any address all refresh it.
+TEST_F(EngineApiTest, FillHandleFollowsTheTree) {
+  ASSERT_TRUE(interp_.load(R"(
+func book() { tree.book_h1("/h", 10, 0, 10); }
+func fill(x) { tree.fill("/h", x); }
+)").is_ok());
+  ASSERT_TRUE(interp_.call("book", {}).is_ok());
+  ASSERT_TRUE(interp_.call("fill", {Value(1.0)}).is_ok());
+  ASSERT_TRUE(interp_.call("fill", {Value(2.0)}).is_ok());
+  EXPECT_EQ((*tree_.histogram1d("/h"))->entries(), 2);
+
+  ASSERT_TRUE(interp_.call("book", {}).is_ok());  // replaces the histogram
+  ASSERT_TRUE(interp_.call("fill", {Value(3.0)}).is_ok());
+  EXPECT_EQ((*tree_.histogram1d("/h"))->entries(), 1);
+
+  tree_.clear();
+  EXPECT_FALSE(interp_.call("fill", {Value(3.0)}).is_ok());
+
+  for (int round = 0; round < 3; ++round) {
+    // Trees that may reuse one another's address.
+    auto other = std::make_unique<aida::Tree>();
+    interp_.set_global("tree", Value(make_tree_object(other.get())));
+    ASSERT_TRUE(interp_.call("book", {}).is_ok());
+    ASSERT_TRUE(interp_.call("fill", {Value(4.0)}).is_ok());
+    EXPECT_EQ((*other->histogram1d("/h"))->entries(), 1);
+  }
+}
+
+// An event.get call site keeps the field's slot until the schema changes:
+// batches whose schemas order the same fields differently read correctly.
+TEST_F(EngineApiTest, GetSlotFollowsTheSchema) {
+  data::Record ab(0);
+  ab.set("a", 1.0);
+  ab.set("b", 2.0);
+  data::Record ba(0);
+  ba.set("b", 20.0);
+  ba.set("a", 10.0);
+  const auto first = data::RecordBatch::from_records({ab});
+  const auto second = data::RecordBatch::from_records({ba});
+  ASSERT_TRUE(interp_.load("func read(e) { return e.get(\"a\") * 100 + e.get(\"b\"); }").is_ok());
+  for (int round = 0; round < 2; ++round) {
+    for (const auto* batch : {&first, &second}) {
+      const Value event(std::make_shared<EventCursor>(batch));
+      const auto result = interp_.call("read", {event});
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      EXPECT_DOUBLE_EQ(result->number(), batch == &first ? 102.0 : 1020.0);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ipa::script

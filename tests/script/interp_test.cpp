@@ -234,7 +234,7 @@ TEST(Interp, RuntimeErrorsCarryLineNumbers) {
 
 TEST(Interp, NativeFunctionsAndGlobals) {
   Interp interp;
-  interp.register_native("answer", [](std::vector<Value>&) -> Result<Value> {
+  interp.register_native("answer", [](std::span<const Value>) -> Result<Value> {
     return Value(42.0);
   });
   interp.set_global("offset", Value(0.5));
@@ -407,7 +407,7 @@ TEST(Resolver, GlobalsDefinedAfterLoadAreVisible) {
   ASSERT_TRUE(interp.load("func f() { return late * 2 + helper(); }").is_ok());
   EXPECT_FALSE(interp.call("f", {}).is_ok());
   interp.set_global("late", Value(20.0));
-  interp.register_native("helper", [](std::vector<Value>&) -> Result<Value> {
+  interp.register_native("helper", [](std::span<const Value>) -> Result<Value> {
     return Value(2.0);
   });
   const auto result = interp.call("f", {});
@@ -608,6 +608,68 @@ TEST(Interp, RuntimeErrorsKeepTheirMessagesAndLines) {
     EXPECT_EQ(result.status().code(), c.code);
     EXPECT_EQ(result.status().message(), c.message);
   }
+}
+
+}  // namespace
+}  // namespace ipa::script
+// Numbers that do not convert to an integer (NaN, infinities, values past
+// the integer range) fail with the usual error before any conversion.
+namespace ipa::script {
+namespace {
+
+Status error_of(const std::string& body) {
+  return run("func main() {\n" + body + "\n}", "main").status();
+}
+
+TEST(Stdlib, RangeCountsWholeItems) {
+  // Stepping 1e17 by 1.0 stalls: the count, not the stepping, ends the list.
+  EXPECT_DOUBLE_EQ(run_num("func main() { return len(range(1e17, 1e17 + 64)); }"), 64.0);
+  EXPECT_DOUBLE_EQ(run_num("func main() { return sum(range(0.5, 3)); }"), 4.5);
+  EXPECT_DOUBLE_EQ(run_num("func main() { return len(range(sqrt(-1))); }"), 0.0);
+  EXPECT_DOUBLE_EQ(run_num("func main() { return len(range(3, sqrt(-1))); }"), 0.0);
+  EXPECT_EQ(error_of("  return range(0, 1e300);").code(), StatusCode::kResourceExhausted);
+}
+
+TEST(Interp, NonIntegerIndicesFailCleanly) {
+  struct Case {
+    const char* body;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"  let xs = [1];\n  return xs[sqrt(-1)];", StatusCode::kOutOfRange,
+       "list index nan out of range (size 1) (line 3)"},
+      {"  let xs = [1];\n  return xs[pow(10, 400)];", StatusCode::kOutOfRange,
+       "list index inf out of range (size 1) (line 3)"},
+      {"  let xs = [1];\n  return xs[-1e300];", StatusCode::kOutOfRange,
+       "list index -1e+300 out of range (size 1) (line 3)"},
+      {"  let s = \"ab\";\n  return s[sqrt(-1)];", StatusCode::kOutOfRange,
+       "string index out of range (line 3)"},
+      {"  let s = \"ab\";\n  return s[1e300];", StatusCode::kOutOfRange,
+       "string index out of range (line 3)"},
+      {"  let xs = [1];\n  xs[sqrt(-1)] = 2;", StatusCode::kOutOfRange,
+       "list index out of range in assignment (line 3)"},
+      {"  let xs = [1];\n  xs[1e300] += 2;", StatusCode::kOutOfRange,
+       "list index out of range in assignment (line 3)"},
+      {"  return substr(\"abc\", sqrt(-1));", StatusCode::kOutOfRange,
+       "substr: bad range (line 2)"},
+      {"  return substr(\"abc\", 1, sqrt(-1));", StatusCode::kOutOfRange,
+       "substr: bad range (line 2)"},
+      {"  return substr(\"abc\", pow(10, 400));", StatusCode::kOutOfRange,
+       "substr: bad range (line 2)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    const Status status = error_of(c.body);
+    EXPECT_EQ(status.code(), c.code);
+    EXPECT_EQ(status.message(), c.message);
+  }
+  // A fractional index still truncates toward zero, and a count past the
+  // end of the string takes the rest of it.
+  EXPECT_DOUBLE_EQ(run_num("func main() { let xs = [4, 5]; return xs[1.9] + xs[-0.5]; }"), 9.0);
+  auto rest = run(R"(func main() { return substr("abc", 1, 1e300); })", "main");
+  ASSERT_TRUE(rest.is_ok()) << rest.status().to_string();
+  EXPECT_EQ(rest->string(), "bc");
 }
 
 }  // namespace
