@@ -766,7 +766,8 @@ namespace {
 
 /// Run `fn` on `frame`, whose first `argc` slots hold the arguments; its
 /// result is left in m.result.
-void run_function(Machine& m, const Function& fn, Value* frame, std::size_t argc, int line) {
+inline void run_function(Machine& m, const Function& fn, Value* frame, std::size_t argc,
+                         int line) {
   if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] {
     fail(StatusCode::kResourceExhausted,
          "recursion too deep (limit " + std::to_string(Machine::kMaxCallDepth) + ")", line);
@@ -841,20 +842,10 @@ class Args {
   std::vector<Arg> args_;
 };
 
-/// Call `callee` with `args`, leaving the result in m.result. A script
-/// function's arguments go straight into its frame on the value stack, as
-/// references to the caller's storage for the parameters it never assigns.
-void call(Machine& m, Value* frame, const Value& callee, const Args& args, int line) {
+/// Call a callee that is not a script function: a native, or an error.
+[[gnu::noinline]] void call_native(Machine& m, Value* frame, const Value& callee,
+                                   const Args& args, int line) {
   const ValueStack::Mark mark = m.stack.mark();
-  if (callee.type() == Value::Type::kFunction) {
-    const Function& fn = callee.function();
-    const std::size_t argc = args.size();
-    Value* slots = m.stack.push(std::max(argc, fn.frame_size));
-    for (std::size_t i = 0; i < argc; ++i) args.eval_into(m, frame, i, fn.lends(i), slots[i]);
-    run_function(m, fn, slots, argc, line);
-    m.stack.pop(mark);
-    return;
-  }
   const std::span<const Value> native = args.for_native(m, frame);
   if (callee.type() != Value::Type::kNative) [[unlikely]] {
     fail(StatusCode::kInvalidArgument,
@@ -864,6 +855,20 @@ void call(Machine& m, Value* frame, const Value& callee, const Args& args, int l
   m.stack.pop(mark);
   if (!called.is_ok()) [[unlikely]] fail(called.status().code(), called.status().message(), line);
   m.result = std::move(*called);
+}
+
+/// Call `callee` with `args`, leaving the result in m.result. A script
+/// function's arguments go straight into its frame on the value stack, as
+/// references to the caller's storage for the parameters it never assigns.
+inline void call(Machine& m, Value* frame, const Value& callee, const Args& args, int line) {
+  if (callee.type() != Value::Type::kFunction) return call_native(m, frame, callee, args, line);
+  const ValueStack::Mark mark = m.stack.mark();
+  const Function& fn = callee.function();
+  const std::size_t argc = args.size();
+  Value* slots = m.stack.push(std::max(argc, fn.frame_size));
+  for (std::size_t i = 0; i < argc; ++i) args.eval_into(m, frame, i, fn.lends(i), slots[i]);
+  run_function(m, fn, slots, argc, line);
+  m.stack.pop(mark);
 }
 
 /// Calls leave their result in m.result; this hands it on. `Call::run()`
