@@ -76,7 +76,8 @@ Status ScriptAnalyzer::process_batch(const data::RecordBatch& batch, aida::Tree&
                                 script::Value(script::make_tree_object(&tree))};
   for (std::size_t row = 0; row < batch.rows(); ++row) {
     cursor->set_row(row);
-    IPA_RETURN_IF_ERROR(interp_.invoke(process_, args).status().with_prefix("process()"));
+    const auto result = interp_.invoke(process_, args);
+    if (!result.is_ok()) return result.status().with_prefix("process()");
   }
   return Status::ok();
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <type_traits>
 #include <typeinfo>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "script/parser.hpp"
@@ -209,7 +210,7 @@ class ExprNode {
 
   /// Take over the tick of a statement on this node's line that runs it
   /// first thing.
-  void absorb(std::uint32_t ticks) { ticks_ += ticks; }
+  virtual void absorb(std::uint32_t ticks) { ticks_ += ticks; }
   int line() const { return line_; }
 
  protected:
@@ -262,6 +263,15 @@ std::string index_text(double index) {
 /// The check is written so that NaN fails it before any integer conversion.
 bool in_range(double index, std::size_t size) {
   return index > -1.0 && index < static_cast<double>(size);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void fail_depth(int line) {
+  fail(StatusCode::kResourceExhausted,
+       "recursion too deep (limit " + std::to_string(Machine::kMaxCallDepth) + ")", line);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void fail_index_type(int line) {
+  fail(StatusCode::kInvalidArgument, "index must be a number", line);
 }
 
 [[noreturn, gnu::cold, gnu::noinline]] void fail_list_index(double index, std::size_t size,
@@ -438,6 +448,7 @@ struct LocalArg {
     return true;
   }
   [[gnu::always_inline]] const Value& ref(Machine&, Value* frame, Value&) const { return frame[slot].deref(); }
+  [[gnu::always_inline]] const Value& read(Value* frame) const { return frame[slot].deref(); }
   [[gnu::always_inline]] Value eval(Machine&, Value* frame) const { return frame[slot].deref(); }
 };
 
@@ -450,6 +461,7 @@ struct NumberArg {
     return true;
   }
   [[gnu::always_inline]] const Value& ref(Machine&, Value*, Value&) const { return value; }
+  [[gnu::always_inline]] const Value& read(Value*) const { return value; }
   [[gnu::always_inline]] Value eval(Machine&, Value*) const { return value; }
 };
 
@@ -483,36 +495,46 @@ class Index final : public ExprNode {
       : ExprNode(line, Ticks::kEntry), container_(std::move(container)), index_(std::move(index)) {}
 
   Value eval(Machine& m, Value* frame) const override {
-    Value scratch;
-    double index;
-    const Value& container = operands(m, frame, scratch, index);
-    if (container.is_list()) return container.list()[list_position(container.list(), index)];
-    return character(container, index);
+    return with_operands(m, frame, [&](const Value& container, double index) {
+      if (container.is_list()) return container.list()[list_position(container.list(), index)];
+      return character(container, index);
+    });
   }
 
   bool num(Machine& m, Value* frame, double& out) const override {
-    Value scratch;
-    double index;
-    const Value& container = operands(m, frame, scratch, index);
-    if (!container.is_list()) [[unlikely]] {
-      m.spill = character(container, index);
-      return false;
-    }
-    const Value& item = container.list()[list_position(container.list(), index)];
-    if (!item.is_number()) [[unlikely]] return spill(m, item);
-    out = item.number();
-    return true;
+    return with_operands(m, frame, [&](const Value& container, double index) {
+      if (!container.is_list()) [[unlikely]] {
+        m.spill = character(container, index);
+        return false;
+      }
+      const Value& item = container.list()[list_position(container.list(), index)];
+      if (!item.is_number()) [[unlikely]] return spill(m, item);
+      out = item.number();
+      return true;
+    });
   }
 
  private:
-  const Value& operands(Machine& m, Value* frame, Value& scratch, double& index) const {
+  /// Evaluate the container, then the index, and hand both to `use`. A leaf
+  /// container is read in place, with no scratch value to clean up.
+  template <typename Use>
+  auto with_operands(Machine& m, Value* frame, Use&& use) const {
     tick(m);
-    const Value& container = container_.ref(m, frame, scratch);
-    if constexpr (Ticks::kLateTick) m.tick(1, line_);
-    if (!index_.num(m, frame, index)) [[unlikely]] {
-      fail(StatusCode::kInvalidArgument, "index must be a number", line_);
+    if constexpr (C::kLeaf) {
+      const Value& container = container_.read(frame);
+      return use(container, index(m, frame));
+    } else {
+      Value scratch;
+      const Value& container = container_.ref(m, frame, scratch);
+      return use(container, index(m, frame));
     }
-    return container;
+  }
+
+  double index(Machine& m, Value* frame) const {
+    if constexpr (Ticks::kLateTick) m.tick(1, line_);
+    double index;
+    if (!index_.num(m, frame, index)) [[unlikely]] fail_index_type(line_);
+    return index;
   }
 
   std::size_t list_position(const List& items, double index) const {
@@ -768,10 +790,7 @@ namespace {
 /// result is left in m.result.
 inline void run_function(Machine& m, const Function& fn, Value* frame, std::size_t argc,
                          int line) {
-  if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] {
-    fail(StatusCode::kResourceExhausted,
-         "recursion too deep (limit " + std::to_string(Machine::kMaxCallDepth) + ")", line);
-  }
+  if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] fail_depth(line);
   if (argc != fn.arity) [[unlikely]] {
     fail(StatusCode::kInvalidArgument,
          strings::format("function '%s' expects %zu argument(s), got %zu", fn.name.c_str(),
@@ -798,10 +817,16 @@ class Args {
   Args(int line, std::vector<Arg> args) : line_(line), args_(std::move(args)) {}
 
   std::size_t size() const { return args_.size(); }
+  /// The caller's slot of argument `i` when it is a local on the call's
+  /// line, else -1.
+  int local(std::size_t i) const { return args_[i].slot; }
+  const ExprNode& node(std::size_t i) const { return *args_[i].node; }
+  int line() const { return line_; }
 
   /// Evaluate argument `i` into `slot`: as a reference to the caller's
   /// storage when `lend` and the argument has storage, as a value otherwise.
-  void eval_into(Machine& m, Value* frame, std::size_t i, bool lend, Value& slot) const {
+  [[gnu::always_inline]] void eval_into(Machine& m, Value* frame, std::size_t i, bool lend,
+                                        Value& slot) const {
     const Arg& arg = args_[i];
     if (arg.slot >= 0) {
       m.tick(1, line_);
@@ -913,11 +938,84 @@ class CallGlobal final : public CallExpr<CallGlobal> {
     call(m, frame, held, args_, line_);
   }
 
+  void charge(Machine& m) const { tick(m); }
+  const Args& args() const { return args_; }
+
  private:
   Global* global_;
   std::string name_;
   Args args_;
   bool args_run_code_;
+};
+
+/// A call `f(args)` of a function `f(params) { return expr; }` of the same
+/// program whose `expr` calls nothing, compiled into the caller: an argument
+/// that is a local on the call's line is read in place, any other is
+/// evaluated into a slot of the caller's frame, and `expr` runs on that
+/// frame. It takes the same steps in the same order, and makes the same
+/// checks, as the call. While the global does not name that function any
+/// more, it makes the call.
+class InlineCall final : public ExprNode {
+ public:
+  InlineCall(CallGlobal call, const Global* global, const Function* fn, std::vector<int> slots,
+             ExprNodePtr body)
+      : ExprNode(call.line(), 0),
+        call_(std::move(call)),
+        global_(global),
+        fn_(fn),
+        slots_(std::move(slots)),
+        body_(std::move(body)) {}
+
+  Value eval(Machine& m, Value* frame) const override {
+    if (!current()) return call_.eval(m, frame);
+    enter(m, frame);
+    Value result = body_->eval(m, frame);
+    leave(frame);
+    return result;
+  }
+  bool num(Machine& m, Value* frame, double& out) const override {
+    if (!current()) return call_.num(m, frame, out);
+    enter(m, frame);
+    const bool number = body_->num(m, frame, out);
+    leave(frame);
+    return number;
+  }
+  void absorb(std::uint32_t ticks) override { call_.absorb(ticks); }
+
+ private:
+  bool current() const {
+    return !global_->defined && global_->function.type() == Value::Type::kFunction &&
+           &global_->function.function() == fn_;
+  }
+
+  /// What the call does before the body: its own and the name's steps, the
+  /// arguments, the depth check. (The arity is right by construction.)
+  void enter(Machine& m, Value* frame) const {
+    call_.charge(m);
+    const Args& args = call_.args();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (args.local(i) >= 0) {
+        m.tick(1, args.line());
+      } else {
+        frame[slots_[i]] = args.node(i).eval(m, frame);
+      }
+    }
+    if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] fail_depth(line_);
+  }
+
+  /// Drop the references the argument slots hold.
+  void leave(Value* frame) const {
+    const Args& args = call_.args();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (args.local(i) < 0) frame[slots_[i]] = Value();
+    }
+  }
+
+  CallGlobal call_;
+  const Global* global_;
+  const Function* fn_;
+  std::vector<int> slots_;  // where the body reads parameter i
+  ExprNodePtr body_;        // the return expression, on the caller's frame
 };
 
 class CallValue final : public CallExpr<CallValue> {
@@ -1309,6 +1407,20 @@ class Compiler {
   std::shared_ptr<const CompiledProgram> compile(const Program& program) {
     auto compiled = std::make_shared<CompiledProgram>();
     compiled->functions.reserve(program.functions.size());
+    program_ = &program;
+    compiled_ = compiled.get();
+    // A function is inlined where it is called when its body is one
+    // `return` of an expression that calls nothing. Of several functions of
+    // one name, the last is the one the name binds.
+    for (const FunctionDecl& fn : program.functions) {
+      const bool one_return = fn.body.size() == 1 && fn.body[0]->kind == Stmt::Kind::kReturn &&
+                              fn.body[0]->expr != nullptr && !runs_code(*fn.body[0]->expr);
+      if (one_return) {
+        inlinable_[fn.name] = &fn;
+      } else {
+        inlinable_.erase(fn.name);
+      }
+    }
     for (const FunctionDecl& decl : program.functions) {
       scopes_.assign(1, {});
       next_slot_ = max_slot_ = 0;
@@ -1648,11 +1760,47 @@ class Compiler {
         local_slot(callee.text) < 0) {
       const bool args_run_code = std::any_of(expr.args.begin(), expr.args.end(),
                                              [](const ExprPtr& arg) { return runs_code(*arg); });
-      return std::make_unique<CallGlobal>(expr.line, global(callee.text), callee.text,
-                                          arguments(expr), args_run_code);
+      CallGlobal call(expr.line, global(callee.text), callee.text, arguments(expr),
+                      args_run_code);
+      const auto target = inlinable_.find(callee.text);
+      if (target != inlinable_.end() && !scopes_.empty() &&
+          target->second->params.size() == expr.args.size()) {
+        return inline_call(std::move(call), *target->second);
+      }
+      return std::make_unique<CallGlobal>(std::move(call));
     }
     ExprNodePtr callee_node = compile(callee);
     return std::make_unique<CallValue>(expr.line, std::move(callee_node), arguments(expr));
+  }
+
+  /// `call` of `fn`, compiled into the caller (see InlineCall).
+  ExprNodePtr inline_call(CallGlobal call, const FunctionDecl& fn) {
+    std::vector<std::pair<std::string, int>> params;
+    std::vector<int> slots;
+    for (std::size_t i = 0; i < fn.params.size(); ++i) {
+      const int local = call.args().local(i);
+      slots.push_back(local >= 0 ? local : declare("(argument)"));
+      params.emplace_back(fn.params[i], slots.back());
+    }
+    // The body sees its parameters and the globals, as in its own frame.
+    auto caller_scopes = std::exchange(scopes_, {std::move(params)});
+    const Stmt& ret = *fn.body[0];
+    ExprNodePtr body = compile(*ret.expr);
+    scopes_ = std::move(caller_scopes);
+    if (ret.line == body->line()) {
+      body->absorb(1);  // the return's step, as Return folds it
+    } else {
+      return std::make_unique<CallGlobal>(std::move(call));  // keep the return's own line
+    }
+    const Global* target = global(fn.name);
+    return std::make_unique<InlineCall>(std::move(call), target, function_address(fn),
+                                        std::move(slots), std::move(body));
+  }
+
+  /// Where `fn`'s compiled Function will live: functions are compiled into
+  /// a vector reserved up front, in declaration order.
+  const Function* function_address(const FunctionDecl& fn) const {
+    return compiled_->functions.data() + (&fn - program_->functions.data());
   }
 
   /// Whether evaluating `expr` can run a script function or a native, and so
@@ -1669,6 +1817,9 @@ class Compiler {
   std::vector<std::vector<std::pair<std::string, int>>> scopes_;
   int next_slot_ = 0;
   int max_slot_ = 0;
+  const Program* program_ = nullptr;
+  CompiledProgram* compiled_ = nullptr;
+  std::map<std::string, const FunctionDecl*> inlinable_;
   std::size_t arity_ = 0;               // of the function being compiled
   std::uint64_t assigned_params_ = 0;   // bit i: its body assigns parameter i
 };

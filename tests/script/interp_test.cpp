@@ -674,3 +674,91 @@ TEST(Interp, NonIntegerIndicesFailCleanly) {
 
 }  // namespace
 }  // namespace ipa::script
+// A call of a one-line function is compiled into its caller. It must act
+// exactly like the call: results, steps, errors, the depth limit, and the
+// global it names being rebound or reloaded.
+namespace ipa::script {
+namespace {
+
+/// The smallest step budget under which `fn` runs to completion.
+std::uint64_t steps_needed(const std::string& source, const std::string& fn,
+                           std::vector<Value> args) {
+  for (std::uint64_t budget = 1; budget < 10'000; ++budget) {
+    Interp interp(InterpOptions{.max_steps_per_call = budget});
+    EXPECT_TRUE(interp.load(source).is_ok());
+    if (interp.call(fn, args).is_ok()) return budget;
+  }
+  return 0;
+}
+
+TEST(Interp, InlinedCallsActLikeCalls) {
+  // `sq(...)` is compiled into the caller; `f(...)` calls through a value.
+  const std::string inlined = R"(
+func sq(x) { return x * x; }
+func main(n) {
+  let t = 0;
+  for (let i = 0; i < n; i += 1) { t += sq(i) + sq(2); }
+  return t;
+})";
+  const std::string called = R"(
+func sq(x) { return x * x; }
+func main(n) {
+  let t = 0;
+  let f = sq;
+  for (let i = 0; i < n; i += 1) { t += f(i) + f(2); }
+  return t;
+})";
+  EXPECT_DOUBLE_EQ(run(inlined, "main", {Value(4.0)})->number(), 30.0);
+  EXPECT_DOUBLE_EQ(run(called, "main", {Value(4.0)})->number(), 30.0);
+  // `let f = sq;` costs 2 steps more; the calls cost the same.
+  EXPECT_EQ(steps_needed(inlined, "main", {Value(4.0)}) + 2,
+            steps_needed(called, "main", {Value(4.0)}));
+
+  const auto bad = run(inlined, "main", {Value("x")});
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.status().message(), "cannot compare number with string (line 5)");
+  const auto bad_arg = run(R"(
+func sq(x) { return x * x; }
+func main() {
+  return sq("a");
+})", "main");
+  EXPECT_EQ(bad_arg.status().message(),
+            "operator '*' needs numbers, got string and string (line 2)");
+
+  // Rebinding or reloading the name switches the caller to what it names.
+  Interp interp;
+  ASSERT_TRUE(interp.load(inlined).is_ok());
+  const Value main_fn = interp.function("main");
+  const Value four[] = {Value(4.0)};
+  interp.register_native("sq", [](std::span<const Value>) -> Result<Value> {
+    return Value(1.0);
+  });
+  EXPECT_DOUBLE_EQ(interp.invoke(main_fn, four)->number(), 8.0);
+  Interp reloaded;
+  ASSERT_TRUE(reloaded.load(inlined).is_ok());
+  const Value old_main = reloaded.function("main");
+  ASSERT_TRUE(reloaded.load("func sq(x) { return x; }").is_ok());
+  EXPECT_DOUBLE_EQ(reloaded.invoke(old_main, four)->number(), 14.0);
+}
+
+TEST(Interp, InlinedCallsKeepTheDepthLimit) {
+  for (const char* call : {"sq(n)", "f(n)"}) {
+    SCOPED_TRACE(call);
+    const std::string source = std::string(R"(
+func sq(x) { return x * x; }
+let f = sq;
+func down(n) {
+  if (n <= 0) { return )") + call + R"(; }
+  return 1 + down(n - 1);
+})";
+    Interp interp;
+    ASSERT_TRUE(interp.load(source).is_ok());
+    EXPECT_TRUE(interp.call("down", {Value(254.0)}).is_ok());
+    const auto too_deep = interp.call("down", {Value(255.0)});
+    ASSERT_FALSE(too_deep.is_ok());
+    EXPECT_EQ(too_deep.status().message(), "recursion too deep (limit 256) (line 5)");
+  }
+}
+
+}  // namespace
+}  // namespace ipa::script
