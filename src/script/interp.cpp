@@ -447,7 +447,9 @@ struct LocalArg {
     out = value.number();
     return true;
   }
-  [[gnu::always_inline]] const Value& ref(Machine&, Value* frame, Value&) const { return frame[slot].deref(); }
+  [[gnu::always_inline]] const Value& ref(Machine&, Value* frame, Value&) const {
+    return frame[slot].deref();
+  }
   [[gnu::always_inline]] const Value& read(Value* frame) const { return frame[slot].deref(); }
   [[gnu::always_inline]] Value eval(Machine&, Value* frame) const { return frame[slot].deref(); }
 };
@@ -469,7 +471,9 @@ struct NodeArg {
   static constexpr bool kLeaf = false;
   ExprNodePtr node;
 
-  [[gnu::always_inline]] bool num(Machine& m, Value* frame, double& out) const { return node->num(m, frame, out); }
+  [[gnu::always_inline]] bool num(Machine& m, Value* frame, double& out) const {
+    return node->num(m, frame, out);
+  }
   [[gnu::always_inline]] const Value& ref(Machine& m, Value* frame, Value& scratch) const {
     return node->ref(m, frame, scratch);
   }
@@ -1054,7 +1058,8 @@ class MethodCall final : public CallExpr<MethodCall<R>> {
     const Value& receiver = receiver_.ref(m, frame, scratch);
     if (!receiver.is_object()) {
       fail(StatusCode::kInvalidArgument,
-           "cannot call method '" + name_ + "' on " + std::string(receiver.type_name()), this->line_);
+           "cannot call method '" + name_ + "' on " + std::string(receiver.type_name()),
+           this->line_);
     }
     NativeObject& object = *receiver.object();
     const ValueStack::Mark mark = m.stack.mark();
@@ -1433,7 +1438,8 @@ class Compiler {
       fn.line = decl.line;
       fn.body = statements(decl.body);  // the body shares the params' scope
       fn.frame_size = static_cast<std::size_t>(max_slot_);
-      const std::uint64_t params = arity_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << arity_) - 1;
+      const std::uint64_t params =
+          arity_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << arity_) - 1;
       fn.lent = params & ~assigned_params_;
       compiled->functions.push_back(std::move(fn));
     }
