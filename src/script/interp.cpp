@@ -655,7 +655,7 @@ class Binary final : public ExprNode {
     }
   }
 
-  bool test(Machine& m, Value* frame) const override {
+  [[gnu::always_inline]] bool test(Machine& m, Value* frame) const override {
     if constexpr (is_compare(kOp)) {
       double a, b;
       if (!operands(m, frame, a, b)) return m.spill.boolean();
@@ -670,7 +670,7 @@ class Binary final : public ExprNode {
  private:
   /// True with both operands' numbers; false with the generic result in
   /// m.spill, which is never a number.
-  bool operands(Machine& m, Value* frame, double& a, double& b) const {
+  [[gnu::always_inline]] bool operands(Machine& m, Value* frame, double& a, double& b) const {
     tick(m);
     if (!lhs_.num(m, frame, a)) [[unlikely]] {
       Value lhs = std::move(m.spill);
@@ -1181,7 +1181,7 @@ class UpdateLocal final : public StmtNode {
     ticks_ += V::kLeaf;
   }
 
-  Flow exec(Machine& m, Value* frame) const override {
+  [[gnu::always_inline]] Flow exec(Machine& m, Value* frame) const override {
     tick(m);
     double value;
     Value& slot = frame[slot_];
