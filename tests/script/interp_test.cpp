@@ -762,3 +762,56 @@ func down(n) {
 
 }  // namespace
 }  // namespace ipa::script
+// Fused loop conditions and steps, and arguments lent to a callee instead
+// of copied, must keep the behaviour of the general nodes.
+namespace ipa::script {
+namespace {
+
+TEST(Interp, FusedLoopShapesKeepTheirErrors) {
+  struct Case {
+    const char* body;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"  let n = \"a\";\n  for (let i = 0; i < n; i += 1) { }",
+       "cannot compare number with string (line 3)"},
+      {"  let i = nil;\n  while (i >= 0) { i += 1; }", "cannot compare nil with number (line 3)"},
+      {"  let s = \"a\";\n  for (; s <= \"b\"; s += 1) { }", "'+=' needs numbers (line 3)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    EXPECT_EQ(error_of(c.body).message(), c.message);
+  }
+  // Strings order in a fused condition as they do anywhere else.
+  EXPECT_DOUBLE_EQ(run_num(R"(
+func main() {
+  let s = "a";
+  let n = 0;
+  while (s < "aaaa") { s = s + "a"; n += 1; }
+  for (let i = 10; i > 4; i -= 2) { n += 10; }
+  for (let j = 0; j <= 2.5; j += 0.5) { n += 100; }
+  return n;
+})"), 633.0);
+}
+
+TEST(Interp, LentArgumentsNeverEscape) {
+  // keep() and pass() never assign their parameters, so their callers lend
+  // them the caller's own storage; whatever they keep must own its value.
+  EXPECT_DOUBLE_EQ(run_num(R"(
+let kept = nil;
+func keep(xs) { kept = xs; return 0; }
+func pass(xs) { let unused = 0; return xs; }
+func stash(xs, into) { push(into, xs); return len(into); }
+func main() {
+  let a = [1];
+  keep(a);
+  let b = pass(a);
+  let box = [];
+  stash(a, box);
+  a = [2];
+  return kept[0] * 100 + b[0] * 10 + box[0][0] + len(box);
+})"), 112.0);
+}
+
+}  // namespace
+}  // namespace ipa::script
