@@ -193,20 +193,20 @@ class ExprNode {
     return value.is_bool() ? value.boolean() : value.truthy();
   }
 
-  /// Evaluate, borrowing the node's storage instead of copying it where
-  /// nothing evaluated afterwards can change it: literals, locals (only
-  /// statements assign them, and callees have their own frames) and
-  /// function bindings.
-  virtual const Value& ref(Machine& m, Value* frame, Value& scratch) const {
+  /// Storage that holds this node's value and that nothing evaluated
+  /// afterwards can change: a literal, or a local's slot (only statements
+  /// assign locals, and callees have their own frames). A call can lend it
+  /// instead of copying it. Null when there is none; charges the node's
+  /// steps only when it returns storage.
+  virtual const Value* borrow(Machine&, Value*) const { return nullptr; }
+
+  /// Evaluate, borrowing the node's storage where it has some and copying
+  /// the value into `scratch` otherwise.
+  const Value& ref(Machine& m, Value* frame, Value& scratch) const {
+    if (const Value* lent = borrow(m, frame)) return *lent;
     scratch = eval(m, frame);
     return scratch;
   }
-
-  /// Storage that holds this node's value and stays unchanged while a call
-  /// that it is an argument of runs (a local's slot, a literal), so the
-  /// call can lend it instead of copying it; null when there is none.
-  /// Charges the node's steps only when it returns storage.
-  virtual const Value* borrow(Machine&, Value*) const { return nullptr; }
 
   /// Take over the tick of a statement on this node's line that runs it
   /// first thing.
@@ -349,10 +349,6 @@ class Literal final : public ExprNode {
     tick(m);
     return value_.truthy();
   }
-  const Value& ref(Machine& m, Value*, Value&) const override {
-    tick(m);
-    return value_;
-  }
   const Value* borrow(Machine& m, Value*) const override {
     tick(m);
     return &value_;
@@ -384,10 +380,6 @@ class Local final : public ExprNode {
     const Value& value = frame[slot_].deref();
     return value.is_bool() ? value.boolean() : value.truthy();
   }
-  const Value& ref(Machine& m, Value* frame, Value&) const override {
-    tick(m);
-    return frame[slot_].deref();
-  }
   const Value* borrow(Machine& m, Value* frame) const override {
     tick(m);
     return &frame[slot_].deref();
@@ -417,13 +409,6 @@ class GlobalVar final : public ExprNode {
   Value eval(Machine& m, Value*) const override {
     tick(m);
     return read_global(*global_, name_, line_);
-  }
-  const Value& ref(Machine& m, Value*, Value& scratch) const override {
-    tick(m);
-    const Value& value = read_global(*global_, name_, line_);
-    if (!global_->defined) return value;  // a function binding changes only on load()
-    scratch = value;  // a call made later could reassign the global
-    return scratch;
   }
 
  private:
@@ -809,44 +794,23 @@ inline void run_function(Machine& m, const Function& fn, Value* frame, std::size
   m.result = Value::nil();
 }
 
-/// A call's arguments, evaluated in order. A local on the call's line is
-/// read in place, without a node of its own.
+/// A call's arguments, evaluated in order.
 class Args {
  public:
-  struct Arg {
-    int slot;          // a local on the call's line, or -1
-    ExprNodePtr node;  // the argument otherwise
-  };
-
-  Args(int line, std::vector<Arg> args) : line_(line), args_(std::move(args)) {}
+  explicit Args(std::vector<ExprNodePtr> args) : args_(std::move(args)) {}
 
   std::size_t size() const { return args_.size(); }
-  /// The caller's slot of argument `i` when it is a local on the call's
-  /// line, else -1.
-  int local(std::size_t i) const { return args_[i].slot; }
-  const ExprNode& node(std::size_t i) const { return *args_[i].node; }
-  int line() const { return line_; }
 
   /// Evaluate argument `i` into `slot`: as a reference to the caller's
   /// storage when `lend` and the argument has storage, as a value otherwise.
   [[gnu::always_inline]] void eval_into(Machine& m, Value* frame, std::size_t i, bool lend,
                                         Value& slot) const {
-    const Arg& arg = args_[i];
-    if (arg.slot >= 0) {
-      m.tick(1, line_);
-      const Value& value = frame[arg.slot].deref();
-      if (lend) {
-        slot = Value::reference(value);
-      } else {
-        slot = value;
-      }
-      return;
-    }
-    const Value* lent = lend ? arg.node->borrow(m, frame) : nullptr;
+    const ExprNode& arg = *args_[i];
+    const Value* lent = lend ? arg.borrow(m, frame) : nullptr;
     if (lent != nullptr) {
       slot = Value::reference(*lent);
     } else {
-      slot = arg.node->eval(m, frame);
+      slot = arg.eval(m, frame);
     }
   }
 
@@ -854,12 +818,7 @@ class Args {
   /// any other arguments are evaluated into slots pushed on the value stack.
   std::span<const Value> for_native(Machine& m, Value* frame) const {
     if (args_.size() == 1) {
-      const Arg& arg = args_[0];
-      if (arg.slot >= 0) {
-        m.tick(1, line_);
-        return {&frame[arg.slot].deref(), 1};
-      }
-      if (const Value* lent = arg.node->borrow(m, frame)) return {lent, 1};
+      if (const Value* lent = args_[0]->borrow(m, frame)) return {lent, 1};
     }
     Value* slots = m.stack.push(args_.size());
     for (std::size_t i = 0; i < args_.size(); ++i) eval_into(m, frame, i, false, slots[i]);
@@ -867,8 +826,7 @@ class Args {
   }
 
  private:
-  int line_;
-  std::vector<Arg> args_;
+  std::vector<ExprNodePtr> args_;
 };
 
 /// Call a callee that is not a script function: a native, or an error.
@@ -926,65 +884,55 @@ class CallExpr : public ExprNode {
 /// the call and the name.
 class CallGlobal final : public CallExpr<CallGlobal> {
  public:
-  CallGlobal(int line, Global* global, std::string name, Args args, bool args_run_code)
-      : CallExpr(line, 2),
-        global_(global),
-        name_(std::move(name)),
-        args_(std::move(args)),
-        args_run_code_(args_run_code) {}
+  CallGlobal(int line, Global* global, std::string name, Args args)
+      : CallExpr(line, 2), global_(global), name_(std::move(name)), args_(std::move(args)) {}
 
   void run(Machine& m, Value* frame) const {
     tick(m);
     const Value& callee = read_global(*global_, name_, line_);
-    // Arguments that call nothing cannot reassign the global under the call.
-    if (!global_->defined || !args_run_code_) return call(m, frame, callee, args_, line_);
+    // A function binding changes only on load(); a defined global can be
+    // reassigned while the arguments run, so the call holds its own copy.
+    if (!global_->defined) return call(m, frame, callee, args_, line_);
     const Value held = callee;
     call(m, frame, held, args_, line_);
   }
-
-  void charge(Machine& m) const { tick(m); }
-  const Args& args() const { return args_; }
 
  private:
   Global* global_;
   std::string name_;
   Args args_;
-  bool args_run_code_;
 };
 
-/// A call `f(args)` of a function `f(params) { return expr; }` of the same
-/// program whose `expr` calls nothing, compiled into the caller: an argument
-/// that is a local on the call's line is read in place, any other is
-/// evaluated into a slot of the caller's frame, and `expr` runs on that
-/// frame. It takes the same steps in the same order, and makes the same
-/// checks, as the call. While the global does not name that function any
-/// more, it makes the call.
+/// A call `f(a, b)` of a function `f(params) { return expr; }` of the same
+/// program, where `expr` calls nothing and every argument is a local on the
+/// call's line, compiled into the caller: `expr` runs on the caller's frame
+/// with each parameter bound to its argument's slot. It charges the call's
+/// steps and makes its depth check; while the global names another function
+/// (after a rebinding or a reload), it makes the call instead.
 class InlineCall final : public ExprNode {
  public:
-  InlineCall(CallGlobal call, const Global* global, const Function* fn, std::vector<int> slots,
+  InlineCall(CallGlobal call, std::uint32_t ticks, const Global* global, const Function* fn,
              ExprNodePtr body)
-      : ExprNode(call.line(), 0),
+      : ExprNode(call.line(), ticks),
         call_(std::move(call)),
         global_(global),
         fn_(fn),
-        slots_(std::move(slots)),
         body_(std::move(body)) {}
 
   Value eval(Machine& m, Value* frame) const override {
     if (!current()) return call_.eval(m, frame);
-    enter(m, frame);
-    Value result = body_->eval(m, frame);
-    leave(frame);
-    return result;
+    enter(m);
+    return body_->eval(m, frame);
   }
   bool num(Machine& m, Value* frame, double& out) const override {
     if (!current()) return call_.num(m, frame, out);
-    enter(m, frame);
-    const bool number = body_->num(m, frame, out);
-    leave(frame);
-    return number;
+    enter(m);
+    return body_->num(m, frame, out);
   }
-  void absorb(std::uint32_t ticks) override { call_.absorb(ticks); }
+  void absorb(std::uint32_t ticks) override {
+    ExprNode::absorb(ticks);
+    call_.absorb(ticks);
+  }
 
  private:
   bool current() const {
@@ -992,34 +940,16 @@ class InlineCall final : public ExprNode {
            &global_->function.function() == fn_;
   }
 
-  /// What the call does before the body: its own and the name's steps, the
-  /// arguments, the depth check. (The arity is right by construction.)
-  void enter(Machine& m, Value* frame) const {
-    call_.charge(m);
-    const Args& args = call_.args();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (args.local(i) >= 0) {
-        m.tick(1, args.line());
-      } else {
-        frame[slots_[i]] = args.node(i).eval(m, frame);
-      }
-    }
+  /// The call's and its arguments' steps, then its depth check.
+  void enter(Machine& m) const {
+    tick(m);
     if (m.call_depth >= Machine::kMaxCallDepth) [[unlikely]] fail_depth(line_);
-  }
-
-  /// Drop the references the argument slots hold.
-  void leave(Value* frame) const {
-    const Args& args = call_.args();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (args.local(i) < 0) frame[slots_[i]] = Value();
-    }
   }
 
   CallGlobal call_;
   const Global* global_;
   const Function* fn_;
-  std::vector<int> slots_;  // where the body reads parameter i
-  ExprNodePtr body_;        // the return expression, on the caller's frame
+  ExprNodePtr body_;  // the return expression, on the caller's frame
 };
 
 class CallValue final : public CallExpr<CallValue> {
@@ -1070,8 +1000,11 @@ class MethodCall final : public CallExpr<MethodCall<R>> {
       method_ = object.find_method(name_);
       cache_ = CallSiteCache();
     }
-    auto called = method_ != nullptr ? method_(object, args, literal_key_ ? &cache_ : nullptr)
-                                     : object.call_method(name_, args);
+    if (method_ == nullptr) {
+      fail(StatusCode::kUnimplemented,
+           std::string(object.type_name()) + ": no method '" + name_ + "'", this->line_);
+    }
+    auto called = method_(object, args, literal_key_ ? &cache_ : nullptr);
     m.stack.pop(mark);
     if (!called.is_ok()) [[unlikely]] {
       fail(called.status().code(), called.status().message(), this->line_);
@@ -1411,28 +1344,29 @@ class Compiler {
 
   std::shared_ptr<const CompiledProgram> compile(const Program& program) {
     auto compiled = std::make_shared<CompiledProgram>();
-    compiled->functions.reserve(program.functions.size());
-    program_ = &program;
-    compiled_ = compiled.get();
+    // Sized up front, so that inlined calls can point at their callees.
+    compiled->functions.resize(program.functions.size());
     // A function is inlined where it is called when its body is one
     // `return` of an expression that calls nothing. Of several functions of
     // one name, the last is the one the name binds.
-    for (const FunctionDecl& fn : program.functions) {
+    for (std::size_t i = 0; i < program.functions.size(); ++i) {
+      const FunctionDecl& fn = program.functions[i];
       const bool one_return = fn.body.size() == 1 && fn.body[0]->kind == Stmt::Kind::kReturn &&
                               fn.body[0]->expr != nullptr && !runs_code(*fn.body[0]->expr);
       if (one_return) {
-        inlinable_[fn.name] = &fn;
+        inlinable_[fn.name] = {&fn, &compiled->functions[i]};
       } else {
         inlinable_.erase(fn.name);
       }
     }
-    for (const FunctionDecl& decl : program.functions) {
+    for (std::size_t i = 0; i < program.functions.size(); ++i) {
+      const FunctionDecl& decl = program.functions[i];
       scopes_.assign(1, {});
       next_slot_ = max_slot_ = 0;
       for (const std::string& param : decl.params) declare(param);
       arity_ = decl.params.size();
       assigned_params_ = 0;
-      Function fn;
+      Function& fn = compiled->functions[i];
       fn.name = decl.name;
       fn.arity = arity_;
       fn.line = decl.line;
@@ -1441,7 +1375,6 @@ class Compiler {
       const std::uint64_t params =
           arity_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << arity_) - 1;
       fn.lent = params & ~assigned_params_;
-      compiled->functions.push_back(std::move(fn));
     }
     scopes_.clear();  // no scope: top-level `let`s define globals
     next_slot_ = max_slot_ = 0;
@@ -1749,68 +1682,56 @@ class Compiler {
   }
 
   Args arguments(const Expr& call) {
-    std::vector<Args::Arg> args;
+    std::vector<ExprNodePtr> args;
     args.reserve(call.args.size());
-    for (const ExprPtr& arg : call.args) {
-      const int slot = arg->kind == Expr::Kind::kVar && arg->line == call.line
-                           ? local_slot(arg->text)
-                           : -1;
-      args.push_back({slot, slot < 0 ? compile(*arg) : nullptr});
-    }
-    return Args(call.line, std::move(args));
+    for (const ExprPtr& arg : call.args) args.push_back(compile(*arg));
+    return Args(std::move(args));
   }
 
   ExprNodePtr call(const Expr& expr) {
     const Expr& callee = *expr.lhs;
     if (callee.kind == Expr::Kind::kVar && callee.line == expr.line &&
         local_slot(callee.text) < 0) {
-      const bool args_run_code = std::any_of(expr.args.begin(), expr.args.end(),
-                                             [](const ExprPtr& arg) { return runs_code(*arg); });
-      CallGlobal call(expr.line, global(callee.text), callee.text, arguments(expr),
-                      args_run_code);
+      CallGlobal call(expr.line, global(callee.text), callee.text, arguments(expr));
       const auto target = inlinable_.find(callee.text);
-      if (target != inlinable_.end() && !scopes_.empty() &&
-          target->second->params.size() == expr.args.size()) {
-        return inline_call(std::move(call), *target->second);
-      }
+      if (target != inlinable_.end()) return inline_call(std::move(call), expr, target->second);
       return std::make_unique<CallGlobal>(std::move(call));
     }
     ExprNodePtr callee_node = compile(callee);
     return std::make_unique<CallValue>(expr.line, std::move(callee_node), arguments(expr));
   }
 
-  /// `call` of `fn`, compiled into the caller (see InlineCall).
-  ExprNodePtr inline_call(CallGlobal call, const FunctionDecl& fn) {
+  struct Inlinable {
+    const FunctionDecl* decl;
+    const Function* compiled;
+  };
+
+  /// `call` (`expr`) compiled into the caller (see InlineCall) when its
+  /// arguments allow it.
+  ExprNodePtr inline_call(CallGlobal call, const Expr& expr, const Inlinable& target) {
+    const FunctionDecl& fn = *target.decl;
+    const Stmt& ret = *fn.body[0];
+    if (fn.params.size() != expr.args.size() || ret.line != ret.expr->line) {
+      return std::make_unique<CallGlobal>(std::move(call));
+    }
     std::vector<std::pair<std::string, int>> params;
-    std::vector<int> slots;
     for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      const int local = call.args().local(i);
-      slots.push_back(local >= 0 ? local : declare("(argument)"));
-      params.emplace_back(fn.params[i], slots.back());
+      const int slot = local_leaf(*expr.args[i], expr.line);
+      if (slot < 0) return std::make_unique<CallGlobal>(std::move(call));
+      params.emplace_back(fn.params[i], slot);
     }
     // The body sees its parameters and the globals, as in its own frame.
     auto caller_scopes = std::exchange(scopes_, {std::move(params)});
-    const Stmt& ret = *fn.body[0];
     ExprNodePtr body = compile(*ret.expr);
     scopes_ = std::move(caller_scopes);
-    if (ret.line == body->line()) {
-      body->absorb(1);  // the return's step, as Return folds it
-    } else {
-      return std::make_unique<CallGlobal>(std::move(call));  // keep the return's own line
-    }
-    const Global* target = global(fn.name);
-    return std::make_unique<InlineCall>(std::move(call), target, function_address(fn),
-                                        std::move(slots), std::move(body));
+    body->absorb(1);  // the return's step, as Return folds it
+    // The call's own step, its name's and one per argument.
+    const auto ticks = static_cast<std::uint32_t>(2 + expr.args.size());
+    return std::make_unique<InlineCall>(std::move(call), ticks, global(fn.name), target.compiled,
+                                        std::move(body));
   }
 
-  /// Where `fn`'s compiled Function will live: functions are compiled into
-  /// a vector reserved up front, in declaration order.
-  const Function* function_address(const FunctionDecl& fn) const {
-    return compiled_->functions.data() + (&fn - program_->functions.data());
-  }
-
-  /// Whether evaluating `expr` can run a script function or a native, and so
-  /// assign a global.
+  /// Whether evaluating `expr` can run a script function or a native.
   static bool runs_code(const Expr& expr) {
     if (expr.kind == Expr::Kind::kCall || expr.kind == Expr::Kind::kMethod) return true;
     if (expr.lhs && runs_code(*expr.lhs)) return true;
@@ -1823,9 +1744,7 @@ class Compiler {
   std::vector<std::vector<std::pair<std::string, int>>> scopes_;
   int next_slot_ = 0;
   int max_slot_ = 0;
-  const Program* program_ = nullptr;
-  CompiledProgram* compiled_ = nullptr;
-  std::map<std::string, const FunctionDecl*> inlinable_;
+  std::map<std::string, Inlinable, std::less<>> inlinable_;
   std::size_t arity_ = 0;               // of the function being compiled
   std::uint64_t assigned_params_ = 0;   // bit i: its body assigns parameter i
 };

@@ -4,14 +4,6 @@
 
 namespace ipa::script {
 
-Result<Value> NativeObject::call_method(std::string_view method, std::span<const Value> args) {
-  const Method found = find_method(method);
-  if (found == nullptr) {
-    return unimplemented(std::string(type_name()) + ": no method '" + std::string(method) + "'");
-  }
-  return found(*this, args, nullptr);
-}
-
 bool Value::truthy() const {
   switch (type_) {
     case Type::kNil: return false;

@@ -50,9 +50,6 @@ class NativeObject {
   virtual std::string_view type_name() const = 0;
   /// The method called `name`, or null when this type has none.
   virtual Method find_method(std::string_view name) const = 0;
-  /// Look `method` up and call it without a cache; kUnimplemented
-  /// ("<type>: no method '<name>'") when there is no such method.
-  Result<Value> call_method(std::string_view method, std::span<const Value> args);
 };
 
 using NativeFn = std::function<Result<Value>(std::span<const Value>)>;

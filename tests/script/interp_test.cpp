@@ -692,7 +692,8 @@ std::uint64_t steps_needed(const std::string& source, const std::string& fn,
 }
 
 TEST(Interp, InlinedCallsActLikeCalls) {
-  // `sq(...)` is compiled into the caller; `f(...)` calls through a value.
+  // `sq(i)` is compiled into the caller, as its argument is a local on the
+  // call's line; `sq(2)` is a call, and so is `f(...)`, through a value.
   const std::string inlined = R"(
 func sq(x) { return x * x; }
 func main(n) {
@@ -717,13 +718,17 @@ func main(n) {
   const auto bad = run(inlined, "main", {Value("x")});
   ASSERT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().message(), "cannot compare number with string (line 5)");
-  const auto bad_arg = run(R"(
+  for (const char* call : {"sq(s)", "sq(\"a\")"}) {
+    SCOPED_TRACE(call);
+    const auto bad_arg = run(std::string(R"(
 func sq(x) { return x * x; }
 func main() {
-  return sq("a");
+  let s = "a";
+  return )") + call + R"(;
 })", "main");
-  EXPECT_EQ(bad_arg.status().message(),
-            "operator '*' needs numbers, got string and string (line 2)");
+    EXPECT_EQ(bad_arg.status().message(),
+              "operator '*' needs numbers, got string and string (line 2)");
+  }
 
   // Rebinding or reloading the name switches the caller to what it names.
   Interp interp;
