@@ -19,7 +19,10 @@
 //  - Call frames are slices of one reused value stack. Arguments are
 //    evaluated straight into the callee's frame; a parameter the function
 //    never assigns gets a reference to the caller's local or literal
-//    instead of a copy. Natives take a span over their arguments.
+//    instead of a copy. Natives take a span over their arguments. A call
+//    of a one-line function of the same program, with local arguments, is
+//    compiled into its caller; it falls back to the call after a rebinding
+//    or a reload.
 //  - A method call site looks its method up once per receiver type and
 //    keeps per-site state for it (CallSiteCache): the schema slot of
 //    `event.get("px")`, the histogram of `tree.fill("/p", x)`.

@@ -731,14 +731,17 @@ func main() {
   }
 
   // Rebinding or reloading the name switches the caller to what it names.
+  // `pair` takes the inlined call's value as a Value, not a number.
   Interp interp;
-  ASSERT_TRUE(interp.load(inlined).is_ok());
+  ASSERT_TRUE(interp.load(inlined + "\nfunc pair(n) { return [sq(n), n]; }").is_ok());
   const Value main_fn = interp.function("main");
   const Value four[] = {Value(4.0)};
+  EXPECT_DOUBLE_EQ(interp.call("pair", {Value(4.0)})->list()[0].number(), 16.0);
   interp.register_native("sq", [](std::span<const Value>) -> Result<Value> {
     return Value(1.0);
   });
   EXPECT_DOUBLE_EQ(interp.invoke(main_fn, four)->number(), 8.0);
+  EXPECT_DOUBLE_EQ(interp.call("pair", {Value(4.0)})->list()[0].number(), 1.0);
   Interp reloaded;
   ASSERT_TRUE(reloaded.load(inlined).is_ok());
   const Value old_main = reloaded.function("main");
