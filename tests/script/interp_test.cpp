@@ -486,6 +486,39 @@ func f() {
   Interp short_by_one(InterpOptions{.max_steps_per_call = 33});
   ASSERT_TRUE(short_by_one.load(source).is_ok());
   EXPECT_EQ(short_by_one.call("f", {}).status().code(), StatusCode::kResourceExhausted);
+
+  // Counted-loop shapes. Each f() ends with its loop, so the last steps are
+  // the failing condition's, on the loop's line (line 5).
+  struct Shape {
+    const char* loop;  // lines 4-5 of f()
+    std::uint64_t steps;
+    double hits;
+  };
+  const Shape shapes[] = {
+      // 2 (let n) + 1 (for) + 2 (let i) + 3 x 8 (test, tick, body, step) + 3.
+      {"  let n = 3;\n  for (let i = 0; i < n; i += 1) { hits += 1; }", 32, 3},
+      // 2 + 1 + 2 (let j) + 6 x 8 + 3.
+      {"  let x = 0;\n  for (let j = 0; j <= 2.5; j += 0.5) { hits += 1; }", 56, 6},
+      // 2 + 1 + 2 (let k) + 3 x 8 + 3.
+      {"  let x = 0;\n  for (let k = 10; k > 4; k -= 2) { hits += 1; }", 32, 3},
+      // 2 (let w) + 1 (while) + 3 x (3 + 1 + 2 + 2) + 3.
+      {"  let w = 0;\n  while (w < 3) { w += 1; hits += 1; }", 30, 3},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.loop);
+    const std::string loop_source =
+        std::string("\nlet hits = 0;\nfunc f() {\n") + shape.loop + "\n}";
+    Interp exact(InterpOptions{.max_steps_per_call = shape.steps});
+    ASSERT_TRUE(exact.load(loop_source).is_ok());
+    const auto done = exact.call("f", {});
+    ASSERT_TRUE(done.is_ok()) << done.status().to_string();
+    EXPECT_DOUBLE_EQ(exact.global("hits")->number(), shape.hits);
+    Interp short_one(InterpOptions{.max_steps_per_call = shape.steps - 1});
+    ASSERT_TRUE(short_one.load(loop_source).is_ok());
+    const Status over = short_one.call("f", {}).status();
+    EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(over.message(), "script exceeded its step budget (line 5)");
+  }
 }
 
 TEST(Interp, FunctionValueSurvivesReload) {
