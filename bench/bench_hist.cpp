@@ -6,6 +6,7 @@
 #include "aida/histogram2d.hpp"
 #include "aida/tree.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 using namespace ipa;
 
@@ -75,7 +76,7 @@ void BM_TreeSerialize(benchmark::State& state) {
   aida::Tree tree;
   Rng rng(1);
   for (int h = 0; h < static_cast<int>(state.range(0)); ++h) {
-    auto hist = aida::Histogram1D::create("h" + std::to_string(h), 100, 0, 100);
+    auto hist = aida::Histogram1D::create(strings::format("h%d", h), 100, 0, 100);
     for (int i = 0; i < 500; ++i) hist->fill(rng.uniform(0, 100));
     tree.put("/d/h" + std::to_string(h), std::move(*hist));
   }
@@ -91,7 +92,7 @@ void BM_TreeDeserialize(benchmark::State& state) {
   aida::Tree tree;
   Rng rng(1);
   for (int h = 0; h < static_cast<int>(state.range(0)); ++h) {
-    auto hist = aida::Histogram1D::create("h" + std::to_string(h), 100, 0, 100);
+    auto hist = aida::Histogram1D::create(strings::format("h%d", h), 100, 0, 100);
     for (int i = 0; i < 500; ++i) hist->fill(rng.uniform(0, 100));
     tree.put("/d/h" + std::to_string(h), std::move(*hist));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <type_traits>
 #include <typeinfo>
 #include <utility>
 
@@ -195,9 +194,10 @@ class ExprNode {
 
   /// Storage that holds this node's value and that nothing evaluated
   /// afterwards can change: a literal, or a local's slot (only statements
-  /// assign locals, and callees have their own frames). A call can lend it
-  /// instead of copying it. Null when there is none; charges the node's
-  /// steps only when it returns storage.
+  /// assign locals, and callees have their own frames). A native's lone
+  /// argument or a method's receiver is read there instead of copied. Null
+  /// when there is none; charges the node's steps only when it returns
+  /// storage.
   virtual const Value* borrow(Machine&, Value*) const { return nullptr; }
 
   /// Evaluate, borrowing the node's storage where it has some and copying
@@ -358,31 +358,29 @@ class Literal final : public ExprNode {
   Value value_;
 };
 
-/// A local's slot holds its value, or for a parameter the function never
-/// assigns, possibly a reference to the caller's storage.
 class Local final : public ExprNode {
  public:
   Local(int line, int slot) : ExprNode(line, 1), slot_(slot) {}
 
   Value eval(Machine& m, Value* frame) const override {
     tick(m);
-    return frame[slot_].deref();
+    return frame[slot_];
   }
   bool num(Machine& m, Value* frame, double& out) const override {
     tick(m);
-    const Value& value = frame[slot_].deref();
+    const Value& value = frame[slot_];
     if (!value.is_number()) [[unlikely]] return spill(m, value);
     out = value.number();
     return true;
   }
   bool test(Machine& m, Value* frame) const override {
     tick(m);
-    const Value& value = frame[slot_].deref();
+    const Value& value = frame[slot_];
     return value.is_bool() ? value.boolean() : value.truthy();
   }
   const Value* borrow(Machine& m, Value* frame) const override {
     tick(m);
-    return &frame[slot_].deref();
+    return &frame[slot_];
   }
 
  private:
@@ -427,16 +425,16 @@ struct LocalArg {
   int slot;
 
   [[gnu::always_inline]] bool num(Machine& m, Value* frame, double& out) const {
-    const Value& value = frame[slot].deref();
+    const Value& value = frame[slot];
     if (!value.is_number()) [[unlikely]] return spill(m, value);
     out = value.number();
     return true;
   }
   [[gnu::always_inline]] const Value& ref(Machine&, Value* frame, Value&) const {
-    return frame[slot].deref();
+    return frame[slot];
   }
-  [[gnu::always_inline]] const Value& read(Value* frame) const { return frame[slot].deref(); }
-  [[gnu::always_inline]] Value eval(Machine&, Value* frame) const { return frame[slot].deref(); }
+  [[gnu::always_inline]] const Value& read(Value* frame) const { return frame[slot]; }
+  [[gnu::always_inline]] Value eval(Machine&, Value* frame) const { return frame[slot]; }
 };
 
 struct NumberArg {
@@ -447,8 +445,6 @@ struct NumberArg {
     out = value.number();
     return true;
   }
-  [[gnu::always_inline]] const Value& ref(Machine&, Value*, Value&) const { return value; }
-  [[gnu::always_inline]] const Value& read(Value*) const { return value; }
   [[gnu::always_inline]] Value eval(Machine&, Value*) const { return value; }
 };
 
@@ -554,10 +550,6 @@ struct IndexArg {
   Index<LocalArg, LocalArg> read;
 
   bool num(Machine& m, Value* frame, double& out) const { return read.num(m, frame, out); }
-  const Value& ref(Machine& m, Value* frame, Value& scratch) const {
-    scratch = read.eval(m, frame);
-    return scratch;
-  }
   Value eval(Machine& m, Value* frame) const { return read.eval(m, frame); }
 };
 
@@ -765,12 +757,7 @@ struct Function {
   std::size_t arity = 0;
   std::size_t frame_size = 0;
   int line = 1;
-  /// Bit i: parameter i (of the first 64) is never assigned, so a call may
-  /// lend it the caller's storage as a Value::reference().
-  std::uint64_t lent = 0;
   Block body;
-
-  bool lends(std::size_t param) const { return param < 64 && (lent >> param & 1) != 0; }
 };
 
 namespace {
@@ -801,17 +788,9 @@ class Args {
 
   std::size_t size() const { return args_.size(); }
 
-  /// Evaluate argument `i` into `slot`: as a reference to the caller's
-  /// storage when `lend` and the argument has storage, as a value otherwise.
-  [[gnu::always_inline]] void eval_into(Machine& m, Value* frame, std::size_t i, bool lend,
-                                        Value& slot) const {
-    const ExprNode& arg = *args_[i];
-    const Value* lent = lend ? arg.borrow(m, frame) : nullptr;
-    if (lent != nullptr) {
-      slot = Value::reference(*lent);
-    } else {
-      slot = arg.eval(m, frame);
-    }
+  /// Evaluate the arguments, in order, into `slots`.
+  void eval_into(Machine& m, Value* frame, Value* slots) const {
+    for (std::size_t i = 0; i < args_.size(); ++i) slots[i] = args_[i]->eval(m, frame);
   }
 
   /// The arguments for a native: a lone local or literal is lent in place;
@@ -821,7 +800,7 @@ class Args {
       if (const Value* lent = args_[0]->borrow(m, frame)) return {lent, 1};
     }
     Value* slots = m.stack.push(args_.size());
-    for (std::size_t i = 0; i < args_.size(); ++i) eval_into(m, frame, i, false, slots[i]);
+    eval_into(m, frame, slots);
     return {slots, args_.size()};
   }
 
@@ -845,15 +824,14 @@ class Args {
 }
 
 /// Call `callee` with `args`, leaving the result in m.result. A script
-/// function's arguments go straight into its frame on the value stack, as
-/// references to the caller's storage for the parameters it never assigns.
+/// function's arguments go straight into its frame on the value stack.
 inline void call(Machine& m, Value* frame, const Value& callee, const Args& args, int line) {
   if (callee.type() != Value::Type::kFunction) return call_native(m, frame, callee, args, line);
   const ValueStack::Mark mark = m.stack.mark();
   const Function& fn = callee.function();
   const std::size_t argc = args.size();
   Value* slots = m.stack.push(std::max(argc, fn.frame_size));
-  for (std::size_t i = 0; i < argc; ++i) args.eval_into(m, frame, i, fn.lends(i), slots[i]);
+  args.eval_into(m, frame, slots);
   run_function(m, fn, slots, argc, line);
   m.stack.pop(mark);
 }
@@ -1024,19 +1002,6 @@ class MethodCall final : public CallExpr<MethodCall<R>> {
 
 // --- statements ----------------------------------------------------------------
 
-/// Evaluate `expr` into `to`. For an expression that mostly yields numbers
-/// (`numeric`), through num(), so that a number is stored directly.
-inline void store(Machine& m, Value* frame, const ExprNode& expr, bool numeric, Value& to) {
-  double number;
-  if (!numeric) {
-    to = expr.eval(m, frame);
-  } else if (expr.num(m, frame, number)) {
-    to = Value(number);
-  } else {
-    to = std::move(m.spill);
-  }
-}
-
 class ExprStmt final : public StmtNode {
  public:
   ExprStmt(int line, ExprNodePtr expr) : StmtNode(line), expr_(std::move(expr)) {
@@ -1056,21 +1021,20 @@ class ExprStmt final : public StmtNode {
 /// `let` of a local, and `=` to one.
 class SetLocal final : public StmtNode {
  public:
-  SetLocal(int line, int slot, ExprNodePtr expr, bool numeric)
-      : StmtNode(line), slot_(slot), expr_(std::move(expr)), numeric_(numeric) {
+  SetLocal(int line, int slot, ExprNodePtr expr)
+      : StmtNode(line), slot_(slot), expr_(std::move(expr)) {
     fold_into(*expr_);
   }
 
   Flow exec(Machine& m, Value* frame) const override {
     tick(m);
-    store(m, frame, *expr_, numeric_, frame[slot_]);
+    frame[slot_] = expr_->eval(m, frame);
     return Flow::kNormal;
   }
 
  private:
   int slot_;
   ExprNodePtr expr_;
-  bool numeric_;
 };
 
 /// A top-level `let`.
@@ -1223,15 +1187,12 @@ class If final : public StmtNode {
   Block else_;
 };
 
-/// `while` and `for`. Every iteration ticks, so a loop with an empty body
-/// and no condition or step (`for (;;) {}`) still runs out of budget. A
-/// condition and a step of the common counted-loop shapes (`i < n`,
-/// `i += 1`) are fused nodes held by value, run without a dispatch; other
-/// ones are node pointers, possibly null.
-template <class Cond, class Step>
+/// `while` and `for`; the init, condition and step may be null. Every
+/// iteration ticks, so a loop with an empty body and no condition or step
+/// (`for (;;) {}`) still runs out of budget.
 class Loop final : public StmtNode {
  public:
-  Loop(int line, StmtNodePtr init, Cond cond, Step step, Block body)
+  Loop(int line, StmtNodePtr init, ExprNodePtr cond, StmtNodePtr step, Block body)
       : StmtNode(line),
         init_(std::move(init)),
         cond_(std::move(cond)),
@@ -1241,59 +1202,37 @@ class Loop final : public StmtNode {
   Flow exec(Machine& m, Value* frame) const override {
     tick(m);
     if (init_) init_->exec(m, frame);
-    while (test(m, frame)) {
+    while (!cond_ || cond_->test(m, frame)) {
       m.tick(1, line_);
       const Flow flow = run_block(body_, m, frame);
       if (flow == Flow::kBreak) break;
       if (flow == Flow::kReturn) return flow;
-      advance(m, frame);
+      if (step_) step_->exec(m, frame);
     }
     return Flow::kNormal;
   }
 
  private:
-  bool test(Machine& m, Value* frame) const {
-    if constexpr (std::is_same_v<Cond, ExprNodePtr>) {
-      return cond_ == nullptr || cond_->test(m, frame);
-    } else {
-      return cond_.test(m, frame);
-    }
-  }
-
-  void advance(Machine& m, Value* frame) const {
-    if constexpr (std::is_same_v<Step, StmtNodePtr>) {
-      if (step_) step_->exec(m, frame);
-    } else {
-      step_.exec(m, frame);
-    }
-  }
-
   StmtNodePtr init_;
-  Cond cond_;
-  Step step_;
+  ExprNodePtr cond_;
+  StmtNodePtr step_;
   Block body_;
 };
 
 class Return final : public StmtNode {
  public:
-  Return(int line, ExprNodePtr expr, bool numeric)
-      : StmtNode(line), expr_(std::move(expr)), numeric_(numeric) {
+  Return(int line, ExprNodePtr expr) : StmtNode(line), expr_(std::move(expr)) {
     if (expr_) fold_into(*expr_);
   }
 
   Flow exec(Machine& m, Value* frame) const override {
     tick(m);
-    if (expr_) {
-      store(m, frame, *expr_, numeric_, m.result);
-    } else {
-      m.result = Value::nil();
-    }
+    m.result = expr_ ? expr_->eval(m, frame) : Value::nil();
     return Flow::kReturn;
   }
 
  private:
   ExprNodePtr expr_;
-  bool numeric_;
 };
 
 /// `break`, `continue` and `{ ... }`.
@@ -1364,21 +1303,15 @@ class Compiler {
       scopes_.assign(1, {});
       next_slot_ = max_slot_ = 0;
       for (const std::string& param : decl.params) declare(param);
-      arity_ = decl.params.size();
-      assigned_params_ = 0;
       Function& fn = compiled->functions[i];
       fn.name = decl.name;
-      fn.arity = arity_;
+      fn.arity = decl.params.size();
       fn.line = decl.line;
       fn.body = statements(decl.body);  // the body shares the params' scope
       fn.frame_size = static_cast<std::size_t>(max_slot_);
-      const std::uint64_t params =
-          arity_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << arity_) - 1;
-      fn.lent = params & ~assigned_params_;
     }
     scopes_.clear();  // no scope: top-level `let`s define globals
     next_slot_ = max_slot_ = 0;
-    arity_ = 0;
     compiled->top_level = statements(program.top_level);
     compiled->frame_size = static_cast<std::size_t>(max_slot_);
     return compiled;
@@ -1445,18 +1378,6 @@ class Compiler {
     return local_slot(expr.text);
   }
 
-  /// Whether `expr` mostly yields numbers: arithmetic, a negation, a list
-  /// item, a function's result.
-  static bool numeric(const Expr& expr) {
-    switch (expr.kind) {
-      case Expr::Kind::kBinary: return !is_compare(expr.op);
-      case Expr::Kind::kUnary: return expr.op == Op::kNeg;
-      case Expr::Kind::kIndex:
-      case Expr::Kind::kCall: return true;
-      default: return false;
-    }
-  }
-
   // --- statements ---
 
   Block statements(const std::vector<StmtPtr>& body) {
@@ -1482,8 +1403,7 @@ class Compiler {
         if (scopes_.empty()) {
           return std::make_unique<DefineGlobal>(line, global(stmt.name), std::move(value));
         }
-        return std::make_unique<SetLocal>(line, declare(stmt.name), std::move(value),
-                                          numeric(*stmt.expr));
+        return std::make_unique<SetLocal>(line, declare(stmt.name), std::move(value));
       }
       case Stmt::Kind::kAssign:
         return assign(stmt);
@@ -1502,8 +1422,7 @@ class Compiler {
         return compiled;
       }
       case Stmt::Kind::kReturn:
-        return std::make_unique<Return>(line, stmt.expr ? compile(*stmt.expr) : nullptr,
-                                        stmt.expr && numeric(*stmt.expr));
+        return std::make_unique<Return>(line, stmt.expr ? compile(*stmt.expr) : nullptr);
       case Stmt::Kind::kBreak:
         return std::make_unique<Jump>(line, Flow::kBreak);
       case Stmt::Kind::kContinue:
@@ -1516,65 +1435,11 @@ class Compiler {
 
   /// A loop: the condition, then the body in its own scope, then the step.
   StmtNodePtr loop(const Stmt& stmt, StmtNodePtr init) {
-    const int line = stmt.line;
-    // A condition `local OP local` or `local OP number`, OP one of < <= > >=.
-    const Expr* cond = stmt.cond.get();
-    const bool fused_cond = cond != nullptr && cond->kind == Expr::Kind::kBinary &&
-                            (cond->op == Op::kLt || cond->op == Op::kLe ||
-                             cond->op == Op::kGt || cond->op == Op::kGe) &&
-                            local_leaf(*cond->lhs, cond->line) >= 0 &&
-                            (local_leaf(*cond->rhs, cond->line) >= 0 ||
-                             (cond->rhs->kind == Expr::Kind::kLiteral &&
-                              cond->rhs->line == cond->line && cond->rhs->literal.is_number()));
-    ExprNodePtr cond_node = cond != nullptr && !fused_cond ? compile(*cond) : nullptr;
+    ExprNodePtr cond = stmt.cond ? compile(*stmt.cond) : nullptr;
     Block body = block(stmt.body);
-    // A step `local += number` on one line.
-    const Stmt* step = stmt.step.get();
-    const bool fused_step = step != nullptr && step->kind == Stmt::Kind::kAssign &&
-                            step->op == Op::kAddSet && local_leaf(*step->target, step->line) >= 0 &&
-                            step->expr->kind == Expr::Kind::kLiteral &&
-                            step->expr->line == step->line && step->expr->literal.is_number();
-    StmtNodePtr step_node = step != nullptr && !fused_step ? compile(*step) : nullptr;
-
-    const auto with_step = [&](auto cond_value) -> StmtNodePtr {
-      using Cond = decltype(cond_value);
-      if (!fused_step) {
-        return std::make_unique<Loop<Cond, StmtNodePtr>>(line, std::move(init),
-                                                        std::move(cond_value),
-                                                        std::move(step_node), std::move(body));
-      }
-      const int slot = local_leaf(*step->target, step->line);
-      note_assignment(slot);
-      using Step = UpdateLocal<true, NumberArg>;
-      return std::make_unique<Loop<Cond, Step>>(
-          line, std::move(init), std::move(cond_value),
-          Step(step->line, slot, NumberArg{step->expr->literal}), std::move(body));
-    };
-    if (!fused_cond) return with_step(std::move(cond_node));
-    const int lhs = local_leaf(*cond->lhs, cond->line);
-    const int rhs = local_leaf(*cond->rhs, cond->line);
-    const auto with_rhs = [&](auto make) -> StmtNodePtr {
-      if (rhs >= 0) return make(LocalArg{rhs});
-      return make(NumberArg{cond->rhs->literal});
-    };
-    return with_rhs([&](auto rhs_arg) -> StmtNodePtr {
-      using R = decltype(rhs_arg);
-      const int at = cond->line;
-      switch (cond->op) {
-        case Op::kLt: return with_step(Binary<Op::kLt, LocalArg, R>(at, {lhs}, rhs_arg));
-        case Op::kLe: return with_step(Binary<Op::kLe, LocalArg, R>(at, {lhs}, rhs_arg));
-        case Op::kGt: return with_step(Binary<Op::kGt, LocalArg, R>(at, {lhs}, rhs_arg));
-        default: return with_step(Binary<Op::kGe, LocalArg, R>(at, {lhs}, rhs_arg));
-      }
-    });
-  }
-
-  /// Record an assignment to local `slot`: a parameter assigned in its
-  /// function's body can no longer be lent.
-  void note_assignment(int slot) {
-    if (slot >= 0 && static_cast<std::size_t>(slot) < arity_ && slot < 64) {
-      assigned_params_ |= std::uint64_t{1} << slot;  // params take the lowest slots
-    }
+    StmtNodePtr step = stmt.step ? compile(*stmt.step) : nullptr;
+    return std::make_unique<Loop>(stmt.line, std::move(init), std::move(cond), std::move(step),
+                                  std::move(body));
   }
 
   StmtNodePtr assign(const Stmt& stmt) {
@@ -1587,13 +1452,12 @@ class Compiler {
                                            compile(*target.rhs), std::move(value));
     }
     const int slot = local_slot(target.text);
-    note_assignment(slot);
     if (slot < 0) {
       return std::make_unique<AssignGlobal>(line, stmt.op, global(target.text), target.text,
                                             compile(*stmt.expr));
     }
     if (stmt.op == Op::kSet) {
-      return std::make_unique<SetLocal>(line, slot, compile(*stmt.expr), numeric(*stmt.expr));
+      return std::make_unique<SetLocal>(line, slot, compile(*stmt.expr));
     }
     const bool add = stmt.op == Op::kAddSet;
     return with_operand<true, true>(*stmt.expr, line, [&](auto value) -> StmtNodePtr {
@@ -1745,8 +1609,6 @@ class Compiler {
   int next_slot_ = 0;
   int max_slot_ = 0;
   std::map<std::string, Inlinable, std::less<>> inlinable_;
-  std::size_t arity_ = 0;               // of the function being compiled
-  std::uint64_t assigned_params_ = 0;   // bit i: its body assigns parameter i
 };
 
 }  // namespace
@@ -1841,9 +1703,7 @@ Result<Value> Interp::invoke(const Value& fn, std::span<const Value> args) {
     const Function& function = fn.function();
     const ValueStack::Mark mark = m.stack.mark();
     Value* frame = m.stack.push(std::max(args.size(), function.frame_size));
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      frame[i] = function.lends(i) ? Value::reference(args[i]) : args[i];
-    }
+    std::copy(args.begin(), args.end(), frame);
     run_function(m, function, frame, args.size(), function.line);
     m.stack.pop(mark);
     return std::move(m.result);

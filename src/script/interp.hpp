@@ -13,16 +13,16 @@
 //    after load() is visible to the loaded functions.
 //  - Numbers take their own path: arithmetic and compares on two numbers
 //    work on doubles and build no tagged Value. Common shapes (`i < n`,
-//    `xs[i]`, `x += 1`, `xs[i] * ys[j]`, a counted `for` loop's condition
-//    and step) are fused nodes that read locals, number literals and list
-//    items in place and charge their steps in as few ticks as they can.
+//    `xs[i]`, `x += 1`, `xs[i] * ys[j]`) are fused nodes that read locals,
+//    number literals and list items in place and charge their steps in as
+//    few ticks as they can. A loop runs its condition and step as plain
+//    nodes, so a counted loop's `i < n` and `i += 1` are two such shapes.
 //  - Call frames are slices of one reused value stack. Arguments are
-//    evaluated straight into the callee's frame; a parameter the function
-//    never assigns gets a reference to the caller's local or literal
-//    instead of a copy. Natives take a span over their arguments. A call
-//    of a one-line function of the same program, with local arguments, is
-//    compiled into its caller; it falls back to the call after a rebinding
-//    or a reload.
+//    evaluated, as copies, straight into the callee's frame, so a local
+//    read is a plain slot read and nothing points into another frame.
+//    Natives take a span over their arguments. A call of a one-line
+//    function of the same program, with local arguments, is compiled into
+//    its caller; it falls back to the call after a rebinding or a reload.
 //  - A method call site looks its method up once per receiver type and
 //    keeps per-site state for it (CallSiteCache): the schema slot of
 //    `event.get("px")`, the histogram of `tree.fill("/p", x)`.

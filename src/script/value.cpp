@@ -24,7 +24,6 @@ std::string_view Value::type_name() const {
     case Type::kNative:
     case Type::kFunction: return "function";
     case Type::kObject: return object()->type_name();
-    case Type::kRef: return deref().type_name();
   }
   return "?";
 }
@@ -53,7 +52,9 @@ std::string Value::to_display() const {
     }
     return out + "]";
   }
-  return "<" + std::string(type_name()) + ">";
+  std::string out = "<";
+  out += type_name();
+  return out + ">";
 }
 
 bool operator==(const Value& a, const Value& b) {

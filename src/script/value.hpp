@@ -56,8 +56,7 @@ using NativeFn = std::function<Result<Value>(std::span<const Value>)>;
 
 struct Value {
   enum class Type : std::uint8_t {
-    kNil, kNumber, kBool, kString, kList, kNative, kFunction, kObject,
-    kRef,  // a borrowed call argument; see reference()
+    kNil, kNumber, kBool, kString, kList, kNative, kFunction, kObject
   };
 
   Value() = default;
@@ -73,23 +72,6 @@ struct Value {
 
   static Value nil() { return Value(); }
   static Value list(List items) { return Value(std::make_shared<List>(std::move(items))); }
-
-  /// A call frame's slot for an argument the caller lends instead of
-  /// copying: it refers to `target` without owning it, so passing it costs
-  /// no reference count. Only the interpreter's frames hold one, for
-  /// parameters the function never assigns; it reads them through deref(),
-  /// so scripts and natives never see a reference.
-  static Value reference(const Value& target) {
-    Value slot;
-    slot.type_ = Type::kRef;
-    slot.ref_ = std::shared_ptr<const void>(std::shared_ptr<const void>(), &target);
-    return slot;
-  }
-
-  /// The value a reference() refers to; any other value itself.
-  const Value& deref() const {
-    return type_ == Type::kRef ? *static_cast<const Value*>(ref_.get()) : *this;
-  }
 
   Type type() const { return type_; }
   bool is_nil() const { return type_ == Type::kNil; }

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "data/crc32.hpp"
 #include "data/record.hpp"
 #include "data/value.hpp"
@@ -165,7 +166,7 @@ TEST(Record, DuplicateNamesFromDecodeResolveToFirst) {
     w.string("dup");
     Value(1.0).encode(w);
     for (int i = 0; i < filler; ++i) {
-      w.string("f" + std::to_string(i));
+      w.string(strings::format("f%d", i));
       Value(static_cast<double>(i)).encode(w);
     }
     w.string("dup");

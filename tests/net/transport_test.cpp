@@ -15,6 +15,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/strings.hpp"
 namespace ipa::net {
 namespace {
 
@@ -273,13 +274,13 @@ TEST_P(TransportTest, ConcurrentSendAndReceiveAreFullDuplex) {
     std::shared_ptr<Connection> c(conn->release());
     std::jthread tx([c] {
       for (int i = 0; i < kFrames; ++i) {
-        ASSERT_TRUE(c->send(bytes_of("s" + std::to_string(i))).is_ok());
+        ASSERT_TRUE(c->send(bytes_of(strings::format("s%d", i))).is_ok());
       }
     });
     for (int i = 0; i < kFrames; ++i) {
       auto frame = c->receive(5.0);
       ASSERT_TRUE(frame.is_ok());
-      EXPECT_EQ(*frame, bytes_of("c" + std::to_string(i)));
+      EXPECT_EQ(*frame, bytes_of(strings::format("c%d", i)));
     }
   });
 
@@ -288,13 +289,13 @@ TEST_P(TransportTest, ConcurrentSendAndReceiveAreFullDuplex) {
   std::shared_ptr<Connection> c(client->release());
   std::jthread tx([c] {
     for (int i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(c->send(bytes_of("c" + std::to_string(i))).is_ok());
+      ASSERT_TRUE(c->send(bytes_of(strings::format("c%d", i))).is_ok());
     }
   });
   for (int i = 0; i < kFrames; ++i) {
     auto frame = c->receive(5.0);
     ASSERT_TRUE(frame.is_ok());
-    EXPECT_EQ(*frame, bytes_of("s" + std::to_string(i)));
+    EXPECT_EQ(*frame, bytes_of(strings::format("s%d", i)));
   }
 }
 

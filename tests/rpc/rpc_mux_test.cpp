@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "net/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
@@ -84,7 +85,7 @@ TEST(RpcMux, ConcurrentCallsShareOneConnection) {
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < 20; ++i) {
-          const std::string msg = "t" + std::to_string(t) + "-" + std::to_string(i);
+          const std::string msg = strings::format("t%d-%d", t, i);
           auto reply = client->call("Mux", "echo", payload_of(msg), "", 10.0);
           if (reply.is_ok() && *reply == payload_of(msg)) ++ok;
         }

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
+
 namespace ipa::rpc {
 namespace {
 
@@ -173,7 +175,7 @@ TEST(Rpc, ManyConcurrentClients) {
         auto client = RpcClient::connect(server.endpoint());
         if (!client.is_ok()) return;
         for (int i = 0; i < 20; ++i) {
-          const std::string msg = "t" + std::to_string(t) + "-" + std::to_string(i);
+          const std::string msg = strings::format("t%d-%d", t, i);
           auto reply = client->call("Echo", "echo", payload_of(msg));
           if (reply.is_ok() && *reply == payload_of(msg)) ++ok;
         }
