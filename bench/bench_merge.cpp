@@ -9,6 +9,7 @@
 
 #include "aida/histogram1d.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "services/aida_manager.hpp"
 
 using namespace ipa;
@@ -19,7 +20,7 @@ ser::Bytes make_snapshot(std::uint64_t seed, int histograms, int bins) {
   aida::Tree tree;
   Rng rng(seed);
   for (int h = 0; h < histograms; ++h) {
-    auto hist = aida::Histogram1D::create("h" + std::to_string(h), bins, 0, 100);
+    auto hist = aida::Histogram1D::create(strings::format("h%d", h), bins, 0, 100);
     for (int i = 0; i < 200; ++i) hist->fill(rng.uniform(0, 100));
     tree.put("/dir/h" + std::to_string(h), std::move(*hist));
   }
@@ -41,7 +42,7 @@ void run_merge(benchmark::State& state, std::size_t fan_in) {
     for (int e = 0; e < engines; ++e) {
       services::PushRequest request;
       request.session_id = "s";
-      request.report.engine_id = "e" + std::to_string(e);
+      request.report.engine_id = strings::format("e%d", e);
       request.snapshot = snapshots[static_cast<std::size_t>(e)];
       (void)manager.push(request);
     }

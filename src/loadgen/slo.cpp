@@ -284,7 +284,7 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
     for (const auto& [label, series] : *family) {
       if (!first) out += ", ";
       first = false;
-      out += "\"" + strings::json_escape(label) + "\": {";
+      out += strings::format("\"%s\": {", strings::json_escape(label).c_str());
       out += "\"count\": " + std::to_string(series.count);
       out += ", \"sum_s\": " + json_number(series.sum);
       out += ", \"p50_s\": " + json_number(series.quantile(0.50));
@@ -300,7 +300,7 @@ std::string render_report_json(const SloProfile& profile, const LoadReport& repo
     if (!first) out += ", ";
     first = false;
     const auto wait = scrape.lock_wait_s.find(rank);
-    out += "\"" + strings::json_escape(rank) + "\": {";
+    out += strings::format("\"%s\": {", strings::json_escape(rank).c_str());
     out += "\"contended\": " + json_number(contended);
     out += ", \"wait_s\": " +
            json_number(wait == scrape.lock_wait_s.end() ? 0.0 : wait->second);

@@ -1078,7 +1078,7 @@ class UpdateLocal final : public StmtNode {
     ticks_ += V::kLeaf;
   }
 
-  [[gnu::always_inline]] Flow exec(Machine& m, Value* frame) const override {
+  Flow exec(Machine& m, Value* frame) const override {
     tick(m);
     double value;
     Value& slot = frame[slot_];

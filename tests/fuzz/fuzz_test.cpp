@@ -11,6 +11,7 @@
 #include "aida/tree.hpp"
 #include "catalog/query.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/uri.hpp"
 #include "data/dataset.hpp"
 #include "data/record.hpp"
@@ -320,7 +321,7 @@ TEST(Property, RecordRoundTripRandomized) {
     data::Record record(rng.next());
     const int fields = static_cast<int>(rng.uniform_u64(0, 8));
     for (int f = 0; f < fields; ++f) {
-      const std::string name = "f" + std::to_string(f);
+      const std::string name = strings::format("f%d", f);
       switch (rng.uniform_u64(0, 3)) {
         case 0: record.set(name, rng.uniform(-1e12, 1e12)); break;
         case 1: record.set(name, static_cast<std::int64_t>(rng.next())); break;

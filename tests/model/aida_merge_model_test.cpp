@@ -17,6 +17,7 @@
 #include "aida/histogram1d.hpp"
 #include "aida/tree.hpp"
 #include "common/sched_test.hpp"
+#include "common/strings.hpp"
 #include "common/sync.hpp"
 #include "services/aida_manager.hpp"
 
@@ -38,7 +39,7 @@ constexpr int kPushes = 4;  // push i (1-based) is version i
 PushRequest make_push(int i) {
   PushRequest request;
   request.session_id = "s";
-  request.report.engine_id = "e" + std::to_string(i % 2);
+  request.report.engine_id = ipa::strings::format("e%d", i % 2);
   ipa::aida::Tree tree;
   auto hist = ipa::aida::Histogram1D::create("x", kPushes, 0, kPushes);
   hist->fill(i - 0.5);

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "common/strings.hpp"
+
 namespace ipa::net {
 namespace {
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "obs/flight.hpp"
 
 namespace ipa::obs {
@@ -26,7 +27,7 @@ TEST(FlightRetire, JoinedThreadsKeepTheJournalTableBounded) {
   recorder.local().record(FlightKind::kMark, "main");
   for (int i = 0; i < 250; ++i) {
     std::thread([&recorder, i] {
-      recorder.local().record(FlightKind::kMark, "t" + std::to_string(i));
+      recorder.local().record(FlightKind::kMark, strings::format("t%d", i));
     }).join();
     // Live: this thread and at most the one just joined (retired when the
     // next thread registers); the rest is the retired tail.

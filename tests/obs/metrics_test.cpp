@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 
 namespace ipa::obs {
@@ -135,7 +136,7 @@ TEST(Metrics, ConcurrentWritersAndSnapshots) {
       // exercising both the lock-free fast path and the creation lock.
       Counter& shared = registry.counter("ipa_conc_total", {{"kind", "shared"}});
       Counter& own =
-          registry.counter("ipa_conc_total", {{"kind", "t" + std::to_string(t)}});
+          registry.counter("ipa_conc_total", {{"kind", strings::format("t%d", t)}});
       Histogram& h = registry.histogram("ipa_conc_seconds", {}, {0.001, 0.1, 10.0});
       for (int i = 0; i < kIncrements; ++i) {
         shared.inc();

@@ -5,6 +5,7 @@
 #include <set>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "obs/trace.hpp"
 
 namespace ipa::obs {
@@ -109,7 +110,7 @@ TEST(Trace, RingEvictsOldestAndCountsTotal) {
   for (int i = 0; i < 10; ++i) {
     SpanRecord span;
     span.trace_id = span.span_id = static_cast<std::uint64_t>(i + 1);
-    span.name = "s" + std::to_string(i);
+    span.name = strings::format("s%d", i);
     ring.record(std::move(span));
   }
   EXPECT_EQ(ring.total_recorded(), 10u);
@@ -126,7 +127,7 @@ TEST(Trace, SessionFilter) {
     SpanRecord span;
     span.trace_id = span.span_id = static_cast<std::uint64_t>(i + 1);
     span.session = (i % 2 == 0) ? "sess-a" : "sess-b";
-    span.name = "s" + std::to_string(i);
+    span.name = strings::format("s%d", i);
     ring.record(std::move(span));
   }
   const auto spans = ring.snapshot_session("sess-a");

@@ -8,6 +8,7 @@
 #include "aida/histogram1d.hpp"
 #include "client/grid_client.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "data/dataset.hpp"
 #include "http/http.hpp"
 #include "services/aida_manager.hpp"
@@ -92,7 +93,7 @@ TEST(AidaManager, HierarchicalMergeMatchesFlat) {
   ASSERT_TRUE(flat.open_session("s").is_ok());
   ASSERT_TRUE(hierarchical.open_session("s").is_ok());
   for (int e = 0; e < 16; ++e) {
-    const auto push = make_push("s", "e" + std::to_string(e), 25.0, e + 1);
+    const auto push = make_push("s", strings::format("e%d", e), 25.0, e + 1);
     ASSERT_TRUE(flat.push(push).is_ok());
     ASSERT_TRUE(hierarchical.push(push).is_ok());
   }

@@ -25,8 +25,8 @@
 #      site pool, off-lock merges, kill/restart/degrade)
 #   C  Clang thread-safety-analysis build, when clang++ is installed —
 #      proves the IPA_GUARDED_BY/IPA_REQUIRES annotations
-#   3  Release bench build + smoke run (full regression gating against
-#      BENCH_batch.json lives in tools/bench.sh)
+#   3  Release -Werror bench build + smoke run (full regression gating
+#      against BENCH_batch.json lives in tools/bench.sh)
 #   L  load harness: SLO-gated multi-user smoke + chaos soak smoke
 #      (bench_load against bench/slo.json; see docs/load-testing.md)
 #
@@ -124,8 +124,10 @@ else
   echo "== tier clang: skipped (clang++ not installed) =="
 fi
 
-echo "== tier 3: Release bench build + smoke run =="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+echo "== tier 3: Release -Werror bench build + smoke run =="
+# -Werror here too: some warnings (GCC's -Wrestrict on inlined string
+# concatenation) only show at -O3.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DIPA_WERROR=ON >/dev/null
 cmake --build build-release -j "$jobs" \
   --target bench_engine bench_merge bench_hist bench_server
 for bench in bench_engine bench_merge bench_hist; do

@@ -242,7 +242,7 @@ struct Shell {
       return;
     }
     const auto phase_of = [&response](const char* name) {
-      const std::string needle = "\"" + std::string(name) + "\":";
+      const std::string needle = strings::format("\"%s\":", name);
       const std::size_t at = response->body.find(needle);
       return at == std::string::npos
                  ? 0.0
