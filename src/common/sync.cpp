@@ -15,7 +15,6 @@ const char* to_string(LockRank rank) {
     case LockRank::kLog: return "log";
     case LockRank::kFlight: return "flight";
     case LockRank::kMetrics: return "metrics";
-    case LockRank::kSlowOps: return "slow-ops";
     case LockRank::kTrace: return "trace";
     case LockRank::kRegistry: return "registry";
     case LockRank::kTransport: return "transport";

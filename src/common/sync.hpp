@@ -106,9 +106,7 @@ enum class LockRank : int {
   kFlight = 25,       // obs::FlightRecorder journal table (cold: registration
                       //   and snapshots only; the event write path is lock-free)
   kMetrics = 30,      // obs::Registry family/series table
-  kSlowOps = 35,      // obs::SlowOpStore retained-span deque (taken under
-                      //   kTrace when a span crosses its threshold)
-  kTrace = 40,        // obs::SpanRing
+  kTrace = 40,        // obs::SpanRing recent spans and slow-op list
   kRegistry = 50,     // small process tables: MethodTraits, AnalyzerRegistry,
                       //   Locator, fault dial ordinals
 

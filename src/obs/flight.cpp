@@ -48,24 +48,31 @@ FlightJournal::FlightJournal(std::string name, std::size_t capacity)
 
 void FlightJournal::record(FlightKind kind, std::string_view what,
                            std::string_view detail, std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t ticket = head_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Odd marks the write in flight; a concurrent reader of the evicted event
-  // sees the sequence move and discards its copy instead of surfacing torn
-  // fields. Single writer per journal, so plain stores suffice. The
-  // IPA_SCHED_POINT markers let tests/model explore a snapshot landing
-  // between any pair of these stores; they compile to nothing in Release.
-  IPA_SCHED_POINT();
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  IPA_SCHED_POINT();
-  FlightEvent& event = slot.event;
+  FlightEvent event;
   event.t = WallClock::instance().now();
   event.a = a;
   event.b = b;
   event.kind = kind;
   copy_truncated(event.what, sizeof event.what, what);
-  IPA_SCHED_POINT();
   copy_truncated(event.detail, sizeof event.detail, detail);
+  std::uint64_t words[kEventWords];
+  std::memcpy(words, &event, sizeof event);
+
+  const std::uint64_t ticket = head_.load(std::memory_order_relaxed);
+  Slot& slot = slots_[ticket & (capacity_ - 1)];
+  // Odd marks the write in flight; a concurrent reader of the evicted event
+  // sees the sequence move and discards its copy instead of surfacing torn
+  // fields. The release fence keeps the word stores below from becoming
+  // visible before the odd sequence. The IPA_SCHED_POINT markers let
+  // tests/model explore a snapshot landing between any pair of these
+  // stores; they compile to nothing in Release.
+  IPA_SCHED_POINT();
+  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::size_t i = 0; i < kEventWords; ++i) {
+    IPA_SCHED_POINT();
+    slot.words[i].store(words[i], std::memory_order_relaxed);
+  }
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
   IPA_SCHED_POINT();
   head_.store(ticket + 1, std::memory_order_release);
@@ -86,10 +93,15 @@ std::vector<FlightEvent> FlightJournal::snapshot(std::size_t max_events) const {
     IPA_SCHED_POINT();
     if (slot.seq.load(std::memory_order_acquire) != expected) continue;
     IPA_SCHED_POINT();
-    FlightEvent copy = slot.event;
+    std::uint64_t words[kEventWords];
+    for (std::size_t w = 0; w < kEventWords; ++w) {
+      words[w] = slot.words[w].load(std::memory_order_relaxed);
+    }
     IPA_SCHED_POINT();
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != expected) continue;
+    FlightEvent copy;
+    std::memcpy(&copy, words, sizeof copy);
     out.push_back(copy);
   }
   return out;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -77,10 +78,17 @@ class FlightJournal {
   const std::string& name() const { return name_; }
 
  private:
+  static constexpr std::size_t kEventWords = sizeof(FlightEvent) / sizeof(std::uint64_t);
+  static_assert(std::is_trivially_copyable_v<FlightEvent> &&
+                sizeof(FlightEvent) % sizeof(std::uint64_t) == 0);
+
   struct Slot {
     // 2T+1 while ticket T's write is in flight, 2T+2 once it is stable.
     std::atomic<std::uint64_t> seq{0};
-    FlightEvent event;
+    // The event's bytes as relaxed atomic words: a reader may copy a slot
+    // while the writer overwrites it (the sequence check then discards the
+    // copy), and with plain fields that copy would be a data race.
+    std::atomic<std::uint64_t> words[kEventWords];
   };
 
   const std::string name_;

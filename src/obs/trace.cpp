@@ -3,7 +3,7 @@
 #include <atomic>
 
 #include "common/strings.hpp"
-#include "obs/slow.hpp"
+#include "obs/flight.hpp"
 
 namespace ipa::obs {
 namespace {
@@ -32,38 +32,46 @@ std::uint64_t new_trace_id() {
   return id;
 }
 
-SpanRing::SpanRing(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+SpanRing::SpanRing(std::size_t capacity, std::size_t slow_capacity)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      slow_capacity_(slow_capacity == 0 ? 1 : slow_capacity) {
   ring_.reserve(capacity_);
 }
 
 void SpanRing::record(SpanRecord span) {
-  // Threshold check outside the ring lock: threshold_for takes the store's
-  // own (lower-ranked) mutex and most spans are fast, so the common path
-  // adds one relaxed pointer load.
-  SlowOpStore* store = slow_store_.load(std::memory_order_acquire);
-  const bool slow =
-      store != nullptr && span.duration_s() >= store->threshold_for(span.name);
-
-  LockGuard lock(mutex_);
-  ++total_;
-  std::vector<SpanRecord> children;
-  if (slow) {
-    // The completing span's children (same trace) finished before it and
-    // are still in the ring unless traffic already evicted them.
-    for (const SpanRecord& other : ring_) {
-      if (other.trace_id == span.trace_id && other.span_id != span.span_id) {
-        children.push_back(other);
+  const double duration_s = span.duration_s();
+  bool slow = false;
+  std::string slow_name;
+  {
+    LockGuard lock(mutex_);
+    ++total_;
+    slow = duration_s >= slow_threshold_s_;
+    if (slow) {
+      // The span's children (same trace) finished before it and are still
+      // in the ring unless traffic already evicted them.
+      SlowOp op{span, {}};
+      for (std::size_t i = 0; i < ring_.size(); ++i) {
+        const SpanRecord& other = ring_[(next_ + i) % ring_.size()];
+        if (other.trace_id == span.trace_id) op.children.push_back(other);
       }
+      ++slow_total_;
+      slow_ops_.push_front(std::move(op));
+      if (slow_ops_.size() > slow_capacity_) slow_ops_.pop_back();
+      slow_name = span.name;
+    }
+    if (ring_.size() < capacity_) {
+      ring_.push_back(std::move(span));
+    } else {
+      ring_[next_] = std::move(span);
+      next_ = (next_ + 1) % capacity_;
     }
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(span);
-  } else {
-    ring_[next_] = span;
-    next_ = (next_ + 1) % capacity_;
+  // Cross-reference in the flight journal, outside the ring lock: the slow
+  // op shows up in the timeline of whatever else this thread was doing.
+  if (slow) {
+    flight(FlightKind::kSlowOp, "slow-op", slow_name,
+           static_cast<std::uint64_t>(duration_s < 0 ? 0 : duration_s * 1e3));
   }
-  // kSlowOps (35) nests under kTrace (40): rank-ordered by design.
-  if (slow) store->offer(std::move(span), std::move(children));
 }
 
 std::vector<SpanRecord> SpanRing::snapshot() const {
@@ -91,12 +99,55 @@ std::uint64_t SpanRing::total_recorded() const {
   return total_;
 }
 
+void SpanRing::set_slow_threshold(double seconds) {
+  LockGuard lock(mutex_);
+  slow_threshold_s_ = seconds;
+}
+
+std::vector<SlowOp> SpanRing::slow_snapshot(std::size_t max_ops) const {
+  LockGuard lock(mutex_);
+  const std::size_t want =
+      max_ops == 0 || max_ops > slow_ops_.size() ? slow_ops_.size() : max_ops;
+  return std::vector<SlowOp>(slow_ops_.begin(),
+                             slow_ops_.begin() + static_cast<std::ptrdiff_t>(want));
+}
+
+std::uint64_t SpanRing::slow_total() const {
+  LockGuard lock(mutex_);
+  return slow_total_;
+}
+
+std::string SpanRing::render_slow_json(std::size_t max_ops) const {
+  double threshold = 0;
+  std::uint64_t total = 0;
+  {
+    LockGuard lock(mutex_);
+    threshold = slow_threshold_s_;
+    total = slow_total_;
+  }
+  std::string body = "{\"default_threshold_s\":" + strings::format("%.6f", threshold);
+  body += ",\"total_retained\":" + std::to_string(total);
+  body += ",\"ops\":[";
+  bool first = true;
+  for (const SlowOp& op : slow_snapshot(max_ops)) {
+    if (!first) body += ',';
+    first = false;
+    body += "{\"root\":" + span_json(op.root);
+    body += ",\"children\":[";
+    bool first_child = true;
+    for (const SpanRecord& child : op.children) {
+      if (!first_child) body += ',';
+      first_child = false;
+      body += span_json(child);
+    }
+    body += "]}";
+  }
+  body += "]}";
+  return body;
+}
+
 SpanRing& SpanRing::global() {
-  static SpanRing* ring = [] {
-    auto* r = new SpanRing(4096);  // leaked: outlives all users
-    r->attach_slow_store(&SlowOpStore::global());
-    return r;
-  }();
+  static SpanRing* ring = new SpanRing(4096);  // leaked: outlives all users
   return *ring;
 }
 

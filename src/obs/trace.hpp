@@ -1,5 +1,6 @@
 // Trace spans: 64-bit trace/span ids with parent propagation, a bounded
-// ring of completed spans, and RAII timing against an ipa::Clock.
+// ring of completed spans that also keeps the recent slow operations, and
+// RAII timing against an ipa::Clock.
 //
 // The propagation model is deliberately small: a thread-local TraceContext
 // names the active span. ScopedSpan pushes itself as current for its
@@ -14,8 +15,8 @@
 // runs (or ManualClock tests) produce spans with the same machinery.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -56,13 +57,23 @@ struct SpanRecord {
 /// One span as a JSON object (the /status and /debug/slow span shape).
 std::string span_json(const SpanRecord& span);
 
-class SlowOpStore;
+/// One retained slow operation: the threshold-crossing span and whatever
+/// spans of the same trace were still in the ring when it completed.
+struct SlowOp {
+  SpanRecord root;
+  std::vector<SpanRecord> children;  // same trace_id, oldest first
+};
 
-/// Bounded ring of completed spans, newest evicting oldest. The site keeps
-/// one global ring and serves it at GET /status; tests construct their own.
+/// The one store of completed spans. It keeps the most recent spans of
+/// everything in a bounded ring (newest evicting oldest; GET /status), and
+/// a short newest-first list of slow operations (GET /debug/slow): a span
+/// at or above the slow threshold is kept with its same-trace children, so
+/// an 800 ms outlier can still be explained after healthy traffic has
+/// cycled the ring many times. The site keeps one global ring; tests
+/// construct their own.
 class SpanRing {
  public:
-  explicit SpanRing(std::size_t capacity = 2048);
+  explicit SpanRing(std::size_t capacity = 2048, std::size_t slow_capacity = 64);
 
   void record(SpanRecord span);
   /// Retained spans, oldest first.
@@ -72,22 +83,28 @@ class SpanRing {
   std::size_t capacity() const { return capacity_; }
   std::uint64_t total_recorded() const;
 
-  /// Route threshold-crossing spans (plus their same-trace children still
-  /// in the ring) into `store` from now on; nullptr detaches. The global
-  /// ring is attached to SlowOpStore::global() at construction.
-  void attach_slow_store(SlowOpStore* store) {
-    slow_store_.store(store, std::memory_order_release);
-  }
+  /// Spans at least this long are kept as slow operations. <= 0 keeps
+  /// every span (tests).
+  void set_slow_threshold(double seconds);
+  /// Slow operations, newest first, at most `max_ops` (0 = all).
+  std::vector<SlowOp> slow_snapshot(std::size_t max_ops = 0) const;
+  /// Slow operations ever kept, since-evicted ones included.
+  std::uint64_t slow_total() const;
+  /// JSON document for GET /debug/slow.
+  std::string render_slow_json(std::size_t max_ops = 32) const;
 
   static SpanRing& global();
 
  private:
   const std::size_t capacity_;
-  std::atomic<SlowOpStore*> slow_store_{nullptr};
+  const std::size_t slow_capacity_;
   mutable Mutex mutex_{LockRank::kTrace, "span-ring"};
   std::vector<SpanRecord> ring_ IPA_GUARDED_BY(mutex_);
   std::size_t next_ IPA_GUARDED_BY(mutex_) = 0;  // ring_ insertion cursor once full
   std::uint64_t total_ IPA_GUARDED_BY(mutex_) = 0;
+  double slow_threshold_s_ IPA_GUARDED_BY(mutex_) = 0.25;
+  std::deque<SlowOp> slow_ops_ IPA_GUARDED_BY(mutex_);  // newest at front
+  std::uint64_t slow_total_ IPA_GUARDED_BY(mutex_) = 0;
 };
 
 /// Install a specific context (e.g. decoded from a wire header) as the

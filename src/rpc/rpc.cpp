@@ -393,25 +393,28 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
   // children even across retries.
   obs::ScopedSpan call_span("rpc.call." + std::string(service) + "." + std::string(method));
   call_span.set_session(std::string(resource));
+  // Each series is looked up where it is incremented, so a call that
+  // succeeds on its first attempt does one registry lookup.
   const obs::Labels rpc_labels = {{"method", std::string(method)},
                                   {"service", std::string(service)}};
   obs::Registry& registry = obs::Registry::global();
-  obs::Counter& attempts_counter = registry.counter(
-      "ipa_rpc_attempts_total", rpc_labels, "Call attempts that reached the wire.");
-  obs::Counter& retries_counter = registry.counter(
-      "ipa_rpc_retries_total", rpc_labels, "Attempts after the first, per call.");
-  obs::Counter& giveups_counter = registry.counter(
-      "ipa_rpc_giveups_total", rpc_labels, "Calls that exhausted attempts or deadline.");
-  obs::Counter& deadline_counter =
-      registry.counter("ipa_rpc_deadline_exceeded_total", rpc_labels,
-                       "Calls that failed because the deadline expired.");
-  obs::Histogram& backoff_hist =
-      registry.histogram("ipa_rpc_backoff_seconds", rpc_labels, {},
-                         "Backoff sleeps between retry attempts.");
   const auto fail = [&](Status status) -> Result<ser::Bytes> {
-    if (status.code() == StatusCode::kDeadlineExceeded) deadline_counter.inc();
+    if (status.code() == StatusCode::kDeadlineExceeded) {
+      registry
+          .counter("ipa_rpc_deadline_exceeded_total", rpc_labels,
+                   "Calls that failed because the deadline expired.")
+          .inc();
+    }
     call_span.set_status(status);
     return status;
+  };
+  const auto give_up = [&](Status status) IPA_REQUIRES(*call_mutex_) {
+    ++stats_.giveups;
+    registry
+        .counter("ipa_rpc_giveups_total", rpc_labels,
+                 "Calls that exhausted attempts or deadline.")
+        .inc();
+    return fail(std::move(status));
   };
 
   // How long one receive() slice holds the receiver baton: short enough
@@ -471,16 +474,21 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
       const ser::Bytes request = std::move(w).take();
 
       ++stats_.attempts;
-      attempts_counter.inc();
-      if (attempt > 1) {
-        ++stats_.retries;
-        retries_counter.inc();
-      }
+      if (attempt > 1) ++stats_.retries;
 
       // Send with the lock released: concurrent calls multiplex onto the
       // shared connection (it serializes whole frames internally), and a
-      // slow socket never stalls other callers' bookkeeping.
+      // slow socket never stalls other callers' bookkeeping. The registry
+      // lookups happen here too, off the call mutex.
       lock.unlock();
+      registry
+          .counter("ipa_rpc_attempts_total", rpc_labels, "Call attempts that reached the wire.")
+          .inc();
+      if (attempt > 1) {
+        registry
+            .counter("ipa_rpc_retries_total", rpc_labels, "Attempts after the first, per call.")
+            .inc();
+      }
       const Status sent = conn->send(request);
       lock.lock();
       if (!sent.is_ok()) kill_connection_locked(gen, sent);
@@ -558,18 +566,14 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
     }
 
     if (attempt >= policy_.max_attempts) {
-      ++stats_.giveups;
-      giveups_counter.inc();
-      return fail(last_error.with_prefix("rpc: giving up after " + std::to_string(attempt) +
-                                         " attempts"));
+      return give_up(last_error.with_prefix("rpc: giving up after " +
+                                            std::to_string(attempt) + " attempts"));
     }
     const double now = WallClock::instance().now();
     if (now >= deadline) {
-      ++stats_.giveups;
-      giveups_counter.inc();
-      return fail(deadline_exceeded("rpc: deadline exceeded after " +
-                                    std::to_string(attempt) +
-                                    " attempts: " + last_error.message()));
+      return give_up(deadline_exceeded("rpc: deadline exceeded after " +
+                                       std::to_string(attempt) +
+                                       " attempts: " + last_error.message()));
     }
     // Exponential backoff with deterministic jitter, clipped to the deadline.
     const double jitter = 1.0 + policy_.jitter * (2.0 * backoff_rng_.uniform() - 1.0);
@@ -578,7 +582,10 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
     const bool expires = now + sleep_s >= deadline;
     if (expires) sleep_s = deadline - now;
     stats_.backoff_total_s += sleep_s;
-    backoff_hist.observe(sleep_s);
+    registry
+        .histogram("ipa_rpc_backoff_seconds", rpc_labels, {},
+                   "Backoff sleeps between retry attempts.")
+        .observe(sleep_s);
     // The lock is released across the sleep so concurrent calls keep
     // flowing on the shared connection while this one backs off.
     lock.unlock();
@@ -586,10 +593,8 @@ Result<ser::Bytes> RpcClient::call(std::string_view service, std::string_view me
     std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
     lock.lock();
     if (expires) {
-      ++stats_.giveups;
-      giveups_counter.inc();
-      return fail(deadline_exceeded("rpc: deadline expired during backoff: " +
-                                    last_error.message()));
+      return give_up(deadline_exceeded("rpc: deadline expired during backoff: " +
+                                       last_error.message()));
     }
   }
 }

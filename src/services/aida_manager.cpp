@@ -173,12 +173,7 @@ Result<PollResponse> AidaManager::poll(const std::string& session_id,
         session->merged_cache_version = response.version;
       }
     }
-    obs::Registry& registry = obs::Registry::global();
-    registry
-        .histogram("ipa_aida_merge_seconds", {}, {},
-                   "Latency of one merged-tree rebuild across engine snapshots.")
-        .observe(elapsed);
-    registry
+    obs::Registry::global()
         .histogram("ipa_session_phase_seconds", {{"phase", "merge"}}, {},
                    "Live session phase durations; phases match perf::ScenarioTimings.")
         .observe(elapsed);

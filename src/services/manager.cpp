@@ -10,7 +10,6 @@
 #include "obs/lock_stats.hpp"
 #include "obs/log_metrics.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slow.hpp"
 #include "obs/trace.hpp"
 
 namespace ipa::services {
@@ -38,6 +37,12 @@ Result<std::unique_ptr<EngineHandle>> LocalComputeElement::start_engine(
 }
 
 namespace {
+
+/// Restarts allowed per engine before it is given up as lost.
+constexpr int kMaxEngineRestarts = 1;
+/// Default cap on spans returned by GET /status?session=... (override per
+/// request with ?spans=N). Newest spans win when the cap bites.
+constexpr std::size_t kStatusSpanLimit = 128;
 
 constexpr const char* kDefaultPolicy = R"(
 vo.name = ipa-vo
@@ -242,7 +247,7 @@ void ManagerNode::handle_dead_engine(const std::shared_ptr<Session>& session,
                 << " missed heartbeats";
   std::string reason = "heartbeat timeout";
   if (config_.restart_lost_engines) {
-    auto plan = session->begin_restart(engine_id, config_.max_engine_restarts);
+    auto plan = session->begin_restart(engine_id, kMaxEngineRestarts);
     if (plan.is_ok()) {
       // Fresh liveness clock for the replacement.
       aida_.forget_engine(session->id(), engine_id);
@@ -285,7 +290,7 @@ void ManagerNode::register_observability_routes() {
   // The log layer's first metrics consumer: per-level line counters.
   obs::install_log_metrics();
   obs::install_build_info();
-  obs::SlowOpStore::global().set_default_threshold(config_.slow_op_threshold_s);
+  obs::SpanRing::global().set_slow_threshold(config_.slow_op_threshold_s);
   // Prefix patterns: route matching sees the full request target, so exact
   // routes would miss "/status?session=...".
   soap_->http().route("/metrics*", [](const http::Request&) {
@@ -309,7 +314,7 @@ void ManagerNode::register_observability_routes() {
   });
   soap_->http().route("/debug/slow*", [](const http::Request& req) {
     const std::size_t limit = query_limit(req, "limit", 32);
-    return http::Response::make(200, obs::SlowOpStore::global().render_json(limit),
+    return http::Response::make(200, obs::SpanRing::global().render_slow_json(limit),
                                 "application/json");
   });
 }
@@ -357,8 +362,7 @@ http::Response ManagerNode::handle_status(const http::Request& request) {
     // Bounded span dump: the ring holds thousands of spans per session and
     // a status page must not balloon with them. Newest spans win; the full
     // count is reported so a capped response is recognisable.
-    const std::size_t span_limit =
-        query_limit(request, "spans", config_.status_span_limit);
+    const std::size_t span_limit = query_limit(request, "spans", kStatusSpanLimit);
     const std::vector<obs::SpanRecord> spans = obs::SpanRing::global().snapshot_session(id);
     body += ",\"spans_total\":" + std::to_string(spans.size());
     body += ",\"spans\":[";

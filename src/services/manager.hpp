@@ -81,8 +81,6 @@ struct ManagerConfig {
   double heartbeat_timeout_s = 1.0;
   /// Dead-engine scan period (<= 0 disables the scan).
   double monitor_interval_s = 0.25;
-  /// Restarts allowed per engine before it is given up as lost.
-  int max_engine_restarts = 1;
   /// false = skip restarts entirely: dead engines degrade the merge to a
   /// partial result immediately.
   bool restart_lost_engines = true;
@@ -95,11 +93,9 @@ struct ManagerConfig {
   /// worker, so neither pool caps the site's engine count.
   net::ServerPoolOptions soap_pool;
   net::ServerPoolOptions rpc_pool;
-  /// Default cap on spans returned by GET /status?session=... (override per
-  /// request with ?spans=N). Newest spans win when the cap bites.
-  std::size_t status_span_limit = 128;
-  /// Spans at least this long are retained with their child tree and served
-  /// at GET /debug/slow. <= 0 retains every completed span (tests).
+  /// Spans at least this long are kept with their child tree in the span
+  /// ring's slow list and served at GET /debug/slow. <= 0 keeps every
+  /// completed span (tests).
   double slow_op_threshold_s = 0.25;
 };
 

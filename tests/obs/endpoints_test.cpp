@@ -193,7 +193,6 @@ TEST_F(ObsEndpointsTest, MetricsEndpointServesAllSixPhases) {
   EXPECT_NE(response.body.find("ipa_engine_records_processed_total"), std::string::npos);
   EXPECT_NE(response.body.find("ipa_rpc_attempts_total"), std::string::npos);
   EXPECT_NE(response.body.find("ipa_http_requests_total"), std::string::npos);
-  EXPECT_NE(response.body.find("ipa_aida_merge_seconds"), std::string::npos);
   EXPECT_NE(response.body.find("ipa_log_lines_total"), std::string::npos);
 
   // Bounded-server pool gauges exist per server kind even when nothing ever

@@ -20,9 +20,10 @@
 #      buffer copies would hide undefined behaviour
 #   T  thread sanitizer over the reactor-backed net/rpc/http suites, the
 #      staging pipeline, the common concurrency primitives, the engine
-#      and stress suites (run slices on the site pool), and the
+#      and stress suites (run slices on the site pool), the
 #      services/integration suites (heartbeat and dead-engine jobs on the
-#      site pool, off-lock merges, kill/restart/degrade)
+#      site pool, off-lock merges, kill/restart/degrade) and the obs suite
+#      (span ring and slow list, metrics scraped while writers observe)
 #   C  Clang thread-safety-analysis build, when clang++ is installed —
 #      proves the IPA_GUARDED_BY/IPA_REQUIRES annotations
 #   3  Release -Werror bench build + smoke run (full regression gating
@@ -97,21 +98,22 @@ case " $sanitizers " in *" undefined "*)
   ;;
 esac
 
-echo "== tier thread: TSan over reactor/servers + staging + primitives + services =="
+echo "== tier thread: TSan over reactor/servers + staging + primitives + services + obs =="
 # The epoll reactor hands streams between the loop thread, pool workers and
 # caller threads; the mux RpcClient shares one connection across callers;
 # the parallel split, session fan-out, off-lock merges, the periodic
 # heartbeat/dead-engine jobs and the engines' run slices all cross the
-# shared site pool; and
+# shared site pool; every thread records spans into the one span ring
+# while /status and /debug/slow read it; and
 # sync underpins every pool. TSan is the tier that would catch a
 # race in any of those hand-offs, including FailureTest's kill/restart path.
 cmake -B build-thread -S . -DIPA_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "$jobs" --target ipa_test_staging ipa_test_common \
   ipa_test_net ipa_test_rpc ipa_test_http ipa_test_services ipa_test_integration \
-  ipa_test_engine ipa_test_stress
+  ipa_test_engine ipa_test_stress ipa_test_obs
 (cd build-thread && \
   ctest --output-on-failure -j "$jobs" \
-    -L 'staging|common|net|rpc|http|services|integration|engine|stress')
+    -L 'staging|common|net|rpc|http|services|integration|engine|stress|obs')
 
 if command -v clang++ >/dev/null 2>&1; then
   echo "== tier clang: thread-safety-analysis build =="

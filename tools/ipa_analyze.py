@@ -68,7 +68,6 @@ LOCK_RANKS = {
     "kLog": 20,
     "kFlight": 25,
     "kMetrics": 30,
-    "kSlowOps": 35,
     "kTrace": 40,
     "kRegistry": 50,
     "kTransport": 70,

@@ -49,6 +49,12 @@ Rules (each suppressible, see below):
                       _bucket/_sum/_count; label literals sorted by key
                       (the registry sorts at render time — unsorted literals
                       make grep and the rendered output disagree).
+  metric-inventory    the metric inventory table in docs/observability.md
+                      disagrees with src/: an ipa_* family registered under
+                      src/ that the table omits, a table row naming a family
+                      nothing registers, or a row whose type is not the one
+                      registered. A tree-level rule: it reads every src/ file
+                      and the doc, so it has no per-line suppression.
 
 Suppressions: a comment `// ipa-lint: allow(rule)` on the violating line or
 the line above suppresses one finding. For blocking-under-lock the comment
@@ -70,7 +76,7 @@ import re
 import sys
 
 RULES = ("raw-mutex", "detach", "blocking-under-lock", "wallclock", "include-guard",
-         "metric-name", "sleep-sync", "raw-thread")
+         "metric-name", "sleep-sync", "raw-thread", "metric-inventory")
 
 # Files allowed to use raw std primitives: the wrapper itself.
 RAW_MUTEX_ALLOWED = {
@@ -118,6 +124,10 @@ BLOCKING_RES = (
 # window after the call (registrations put labels right after the name).
 METRIC_CALL_RE = re.compile(r"\b(counter|gauge|histogram)\s*\(\s*\"(ipa_[A-Za-z0-9_]*)\"")
 METRIC_LABEL_RE = re.compile(r"\{\s*\"([A-Za-z_][A-Za-z0-9_]*)\"\s*,")
+# metric-inventory: the documented table, one row per family:
+# | layer | `ipa_name` | type ... | labels |
+INVENTORY_DOC = os.path.join("docs", "observability.md")
+INVENTORY_ROW_RE = re.compile(r"^\|[^|]*\|\s*`(ipa_[A-Za-z0-9_]+)`\s*\|\s*([a-z]+)")
 HISTOGRAM_SUFFIXES = ("_seconds", "_records", "_bytes")
 RESERVED_SUFFIXES = ("_bucket", "_sum", "_count")
 SLEEP_SYNC_RES = (
@@ -318,6 +328,49 @@ def lint_file(path, rel, lines):
     return findings
 
 
+def registered_metrics(path, rel):
+    """{family: (kind, rel, line)} for every literal Registry registration in
+    one file; the name may sit on the line after the call."""
+    with open(path, encoding="utf-8", errors="replace") as f:
+        text = f.read()
+    found = {}
+    for m in METRIC_CALL_RE.finditer(text):
+        line_no = text.count("\n", 0, m.start()) + 1
+        found.setdefault(m.group(2), (m.group(1), rel, line_no))
+    return found
+
+
+def documented_metrics(path, rel):
+    """{family: (kind, rel, line)} for every inventory table row of a doc."""
+    documented = {}
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            m = INVENTORY_ROW_RE.match(line)
+            if m:
+                documented.setdefault(m.group(1), (m.group(2), rel, line_no))
+    return documented
+
+
+def inventory_findings(registered, documented, doc_rel):
+    findings = []
+    for name, (kind, rel, line_no) in sorted(registered.items()):
+        row = documented.get(name)
+        if row is None:
+            findings.append(Finding(rel, line_no, "metric-inventory",
+                                    f"{kind} '{name}' is registered but missing from "
+                                    f"the metric inventory in {doc_rel}"))
+        elif row[0] != kind:
+            findings.append(Finding(row[1], row[2], "metric-inventory",
+                                    f"'{name}' is listed as a {row[0]} but registered "
+                                    f"as a {kind} ({rel}:{line_no})"))
+    for name, (kind, rel, line_no) in sorted(documented.items()):
+        if name not in registered:
+            findings.append(Finding(rel, line_no, "metric-inventory",
+                                    f"'{name}' is listed but nothing under src/ "
+                                    "registers it"))
+    return findings
+
+
 def walk(root, subdirs, exclude_prefixes):
     for sub in subdirs:
         base = os.path.join(root, sub)
@@ -335,10 +388,17 @@ def walk(root, subdirs, exclude_prefixes):
 def lint_tree(root):
     findings = []
     fixture_prefix = os.path.join("tests", "lint", "fixtures")
+    registered = {}
     for path, rel in walk(root, ("src", "tests"), (fixture_prefix,)):
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = f.read().splitlines()
         findings.extend(lint_file(path, rel, lines))
+        if rel.startswith("src" + os.sep):
+            for name, where in registered_metrics(path, rel).items():
+                registered.setdefault(name, where)
+    doc = os.path.join(root, INVENTORY_DOC)
+    findings.extend(inventory_findings(registered, documented_metrics(doc, INVENTORY_DOC),
+                                       INVENTORY_DOC))
     return findings
 
 
@@ -371,6 +431,13 @@ def self_test(root):
         base = "tests" if rule == "sleep-sync" else "src"
         rel = os.path.join(base, "fixture", name)
         got = {f.rule for f in lint_file(path, rel, lines)}
+        if rule == "metric-inventory":
+            # A fixture pairs with <stem>.md, its stand-in inventory doc.
+            doc_rel = os.path.join("docs", stem + ".md")
+            got |= {f.rule for f in inventory_findings(
+                registered_metrics(path, rel),
+                documented_metrics(os.path.join(fixture_dir, stem + ".md"), doc_rel),
+                doc_rel)}
         # Headers double as include-guard checks; a .cpp fixture can't trip it.
         expected = {rule}
         if got != expected:
